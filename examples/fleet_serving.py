@@ -1,22 +1,23 @@
-"""Distributed serving fleet: route, broadcast-warm, and survive a crash.
+"""Serving fleet: warm hits in-process, single-flight compiles, failover.
 
 Run with::
 
     python examples/fleet_serving.py
 
-The example starts a two-worker ``ServingFleet`` — two real serving
-processes sharing one on-disk plan-cache namespace behind the
-queue-aware router — and walks the three behaviours the fleet layer adds
-over a single ``ModelServer``:
+The example starts a ``ServingFleet`` with a two-worker compile pool — an
+in-process front end over one on-disk plan-cache namespace, plus two
+worker processes that only run the fusion search — and walks the three
+behaviours the fleet layer adds over a single ``ModelServer``:
 
-1. **affinity routing**: repeated requests for one shape land on the
-   worker that already holds its kernel table entry;
-2. **warm-plan broadcast**: after worker A cold-compiles a shape, worker
-   B serves the same shape from the shared cache without ever searching —
-   visible as the dedicated ``broadcast`` provenance;
-3. **failover**: killing a worker mid-run loses nothing — its in-flight
-   requests are re-dispatched to the survivor and the dead process is
-   restarted by the health monitor.
+1. **in-process warm path**: once a shape is compiled, requests for it are
+   answered by the front end without touching a worker (``worker`` is
+   ``None``);
+2. **single-flight compiles**: concurrent misses on one shape share one
+   compile on the pool — one answer reports ``compiled``, the others
+   ``table``;
+3. **failover**: killing a worker mid-compile loses nothing — its
+   in-flight compile tasks are re-dispatched to the survivor and the dead
+   process is restarted by the health monitor.
 """
 
 from __future__ import annotations
@@ -32,30 +33,36 @@ CONFIG = FleetConfig(workers=2, top_k=2, max_tile=64, health_interval_s=0.1)
 
 def main() -> None:
     with ServingFleet(CONFIG) as fleet:
-        # 1. Affinity: one cold compile, then table hits on the same worker.
+        # 1. One cold compile on the pool, then an in-process table hit.
         cold = fleet.serve("G4", m=100)
         warm = fleet.serve("G4", m=100)
         print(
             f"G4 cold: worker {cold.worker}, source {cold.source}, "
             f"{cold.latency_us / 1000:.1f} ms"
         )
-        print(f"G4 warm: worker {warm.worker}, source {warm.source}")
-        assert warm.worker == cold.worker, "affinity must pin the shape"
-
-        # 2. Broadcast: the other replica adopts the plan from the shared
-        # cache and reports the dedicated provenance on its first serve.
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            if fleet.stats(timeout=5.0).broadcast_warms >= 1:
-                break
-            time.sleep(0.05)
-        other = 1 - cold.worker
-        adopted = fleet.request("G4", 100, worker=other)
         print(
-            f"G4 on worker {other}: source {adopted.source} "
-            "(compiled once, served everywhere)"
+            f"G4 warm: worker {warm.worker}, source {warm.source}, "
+            f"{warm.latency_us:.0f} us"
         )
-        assert adopted.source == "broadcast", adopted.source
+        assert cold.worker is not None and warm.worker is None
+
+        # 2. Four concurrent misses on one shape: one compile, three hits.
+        dispatched = fleet.stats().router["dispatched"]
+        barrier = threading.Barrier(4)
+        sources = []
+
+        def miss() -> None:
+            barrier.wait()
+            sources.append(fleet.request("G10", 40).source)
+
+        threads = [threading.Thread(target=miss) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+        compiles = fleet.stats().router["dispatched"] - dispatched
+        print(f"G10 x4 concurrently: sources {sorted(sources)}, {compiles} compile")
+        assert compiles == 1, compiles
 
         # 3. Failover: pin slow compiles to worker 0, kill it mid-flight.
         results = []
@@ -78,7 +85,7 @@ def main() -> None:
         survivors = {response.worker for response in results}
         print(
             f"after killing worker 0: {len(results)} responses, "
-            f"{sum(r.ok for r in results)} ok, served by workers {survivors}"
+            f"{sum(r.ok for r in results)} ok, compiled by workers {survivors}"
         )
         assert all(response.ok for response in results), "requests were lost"
 
@@ -86,8 +93,8 @@ def main() -> None:
         router = stats["router"]
         print(
             f"fleet stats: routed {router['routed']}, "
+            f"dispatched {router['dispatched']}, "
             f"restarts {router['restarts']}, "
-            f"broadcast warms {router['broadcast_warms']}, "
             f"alive {stats['alive']}/{stats['workers']}"
         )
         assert router["restarts"] >= 1

@@ -1,8 +1,8 @@
 """Semantic verification of cached execution plans.
 
 Disk :class:`~repro.runtime.cache.PlanCache` entries — including the ones
-fleet workers adopt through the warm-plan broadcast — are plain JSON files
-in a shared directory.  Nothing stops a truncated write from a crashed
+fleet workers write for the fleet's front end — are plain JSON files in a
+shared directory.  Nothing stops a truncated write from a crashed
 process, a stale file from an older format, or a tampered payload from
 reaching :meth:`PlanCacheEntry.rehydrate` and being served fleet-wide.
 :class:`PlanVerifier` re-derives the invariants a legal entry must satisfy

@@ -10,12 +10,11 @@ exactly this entry point.  ``--gate-timing`` additionally arms the
 wall-clock gates (overall and cold-phase p50 ratios) at loose default
 tolerances.
 
-The ``fleet`` scenario replays against a multi-process
+The ``fleet`` scenario replays against a
 :class:`~repro.fleet.router.ServingFleet` instead; ``--workers`` takes one
-or more worker counts, one report is written per count (``_w{n}`` inserted
-before the output suffix), and a scaling summary compares their
-throughputs — the committed ``BENCH_fleet_w*.json`` artifacts are exactly
-this loop's output.
+or more compile-pool sizes, one report is written per size (``_w{n}``
+inserted before the output suffix), and a scaling summary compares their
+throughputs.
 """
 
 from __future__ import annotations
@@ -71,8 +70,8 @@ def run_fleet(config: BenchConfig, *, name: Optional[str] = None) -> PerfReport:
 
     The fleet runs ``config.workers`` worker processes over a fresh shared
     plan-cache namespace (unless ``config.cache`` pins one); the driver's
-    ``concurrency`` threads feed the router, so distinct cold compiles
-    spread across workers while same-shape requests keep their affinity.
+    ``concurrency`` threads feed its front end, so distinct cold compiles
+    spread across the worker pool while warm requests resolve in-process.
     The fleet's :class:`~repro.fleet.stats.FleetStats` snapshot is attached
     to the report under the ``fleet`` key.
     """
@@ -214,8 +213,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=float,
         default=0.0,
         help="tolerated cache hit-rate drop vs --baseline (fraction; "
-        "fleet replays race duplicate compiles, so their gate needs a "
-        "small allowance)",
+        "default 0, an exact gate)",
     )
     args = parser.parse_args(argv)
     if args.gate_timing:
@@ -266,7 +264,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(
                 f"  fleet: {workers} worker(s), "
                 f"{router.get('restarts', 0)} restart(s), "
-                f"{router.get('broadcast_warms', 0)} broadcast warm(s)"
+                f"{router.get('dispatched', 0)} dispatched compile(s)"
             )
             print(f"wrote {path}")
             runs.append((workers, report))

@@ -2,12 +2,12 @@
 
 :class:`LoadDriver` replays a :class:`~repro.bench.traces.Trace` against a
 live :class:`~repro.runtime.server.KernelServer`,
-:class:`~repro.graphs.server.ModelServer`, or multi-process
+:class:`~repro.graphs.server.ModelServer`, or
 :class:`~repro.fleet.router.ServingFleet` through the ordinary request path
 — kernel requests resolve *table → plan cache → compile* exactly like
 production traffic, model requests additionally run chain extraction and
-plan assembly, and fleet requests additionally traverse the router
-(admission control, affinity dispatch, failover).  Nothing is mocked: a
+plan assembly, and fleet requests send their compiles to the worker pool
+(admission control, least-loaded dispatch, failover).  Nothing is mocked: a
 cold replay really pays the fusion search, a warm replay really hits the
 tables, and the per-request :class:`RequestRecord` stream captures what
 actually happened (wall clock, resolution source, queue depth at
@@ -246,7 +246,7 @@ class LoadDriver:
             if request.kind == KIND_MODEL
         }
         if self.fleet is not None:
-            # Fleet workers register zoo models on demand; only vet names.
+            # The fleet registers zoo models on demand; only vet names.
             for target in sorted(model_targets):
                 if target not in MODEL_ZOO:
                     raise KeyError(f"model {target!r} is not in the zoo")

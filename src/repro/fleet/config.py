@@ -4,8 +4,8 @@
 :class:`~repro.bench.config.BenchConfig` conventions — one frozen value
 object carrying every knob of a multi-worker serving deployment, with
 ``replace()`` derivation and a ``to_dict()``/``from_dict()`` round-trip — so
-a whole fleet (worker count, shared cache namespace, admission watermark,
-failover budget, compiler knobs) is described by a single serializable
+a whole fleet (compile-pool size, shared cache namespace, admission
+watermark, failover budget, compiler knobs) is described by a single serializable
 value that also crosses the process boundary to the workers.
 """
 
@@ -31,48 +31,43 @@ class FleetConfig:
     Parameters
     ----------
     workers:
-        Worker processes the fleet runs.  Each worker hosts a real
-        :class:`~repro.runtime.server.KernelServer` /
-        :class:`~repro.graphs.server.ModelServer` pair.
+        Compile-pool worker processes.  Workers only run the fusion search
+        for plans no cache tier holds; every request is answered by the
+        fleet's in-process front end.
     cache_dir:
         Shared on-disk :class:`~repro.runtime.cache.PlanCache` namespace.
-        Every worker points its plan cache here, which is what makes one
-        worker's cold compile reusable by every replica.  ``None`` lets the
-        fleet create (and own) a temporary directory for its lifetime.
+        Workers write their plans here and the front end reads them back,
+        so each plan is compiled once per fleet.  ``None`` lets the fleet
+        create (and own) a temporary directory for its lifetime.
     m_bins:
-        M bins of each worker's kernel server.
+        M bins of the front end's kernel server.
     device, top_k, include_dsm, max_tile, transfer:
-        Compiler knobs forwarded to each worker's
-        :class:`~repro.config.FuserConfig`.  Workers always run the serial
-        search engine — the fleet itself is the parallelism.  With
-        ``transfer`` enabled, a worker's cold compile of a new M warm-starts
-        from the nearest shape in the shared plan cache (source
+        Compiler knobs of the fleet's :class:`~repro.config.FuserConfig`,
+        shared by the front end and every worker.  Workers always run the
+        serial search engine — the pool itself is the parallelism.  With
+        ``transfer`` enabled, a cold compile of a new M warm-starts from the
+        nearest shape in the shared plan cache (source
         ``compiled:transfer``).
     watermark:
-        Admission-control watermark: when the aggregate queue depth
-        (dispatched-but-unfinished requests across all workers) reaches
-        this, new requests are rejected with a Retry-After hint instead of
-        queuing without bound.
-    affinity_slack:
-        How much deeper (in queued requests) the affinity-preferred worker
-        may be than the least-loaded worker before the router overrides
-        affinity and rebalances to the least-loaded one.
+        Admission-control watermark: when this many compile tasks are in
+        flight across the pool, a request that misses every cache tier is
+        rejected with a Retry-After hint instead of queuing without bound.
+        Requests answered from the front end's tables or cache never queue
+        and are never rejected.
     max_retries:
-        Failover budget: how many times one request may be re-dispatched
-        after a worker death before it is failed back to the caller.
+        Failover budget: how many times one compile task may be
+        re-dispatched after a worker death before its request fails.
     retry_after_s:
         Base Retry-After hint attached to rejected requests; the router
         scales it with the amount of excess queue depth.
     health_interval_s:
-        Period of the health monitor's liveness sweep (dead workers are
-        restarted and their in-flight requests failed over).
-    broadcast:
-        Enable the warm-plan broadcast channel (one worker's cold compile
-        warms every replica's tables through the shared cache).
+        Upper bound on how long the health monitor sleeps between sweeps
+        (it also wakes the moment a worker exits); dead workers are
+        restarted and their in-flight compile tasks failed over.
     start_method:
         ``multiprocessing`` start method for worker processes.
     request_timeout_s:
-        Upper bound one request may wait for a worker answer (covers
+        Upper bound one compile task may wait for a worker answer (covers
         retries); exceeding it fails the request rather than hanging.
 
     Example
@@ -93,11 +88,9 @@ class FleetConfig:
     max_tile: int = 256
     transfer: bool = False
     watermark: int = 64
-    affinity_slack: int = 2
     max_retries: int = 2
     retry_after_s: float = 0.05
     health_interval_s: float = 0.2
-    broadcast: bool = True
     start_method: str = "spawn"
     request_timeout_s: float = 300.0
 
@@ -109,8 +102,6 @@ class FleetConfig:
             raise ValueError("m_bins must be non-empty and positive")
         if self.watermark < 1:
             raise ValueError("watermark must be >= 1")
-        if self.affinity_slack < 0:
-            raise ValueError("affinity_slack must be >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.retry_after_s <= 0:
@@ -135,7 +126,7 @@ class FleetConfig:
         return _dataclass_replace(self, **overrides)
 
     def fuser_config(self, cache_dir: Optional[str] = None) -> FuserConfig:
-        """The per-worker :class:`FuserConfig` (``cache_dir`` resolved).
+        """The fleet's :class:`FuserConfig` (``cache_dir`` resolved).
 
         ``cache_dir`` overrides the config's own directory — the fleet
         passes the concrete path here when it created a temporary shared
@@ -168,11 +159,9 @@ class FleetConfig:
             "max_tile": self.max_tile,
             "transfer": self.transfer,
             "watermark": self.watermark,
-            "affinity_slack": self.affinity_slack,
             "max_retries": self.max_retries,
             "retry_after_s": self.retry_after_s,
             "health_interval_s": self.health_interval_s,
-            "broadcast": self.broadcast,
             "start_method": self.start_method,
             "request_timeout_s": self.request_timeout_s,
         }

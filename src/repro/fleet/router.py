@@ -1,55 +1,51 @@
-"""Multi-worker serving fleet: router, admission control, failover.
+"""Serving fleet: an in-process front end over a single-flight compile pool.
 
-:class:`ServingFleet` runs N :mod:`~repro.fleet.worker` processes — each a
-real serving stack over one shared on-disk plan-cache namespace — behind a
-:class:`FleetRouter` that decides, per request, which worker serves it:
+:class:`ServingFleet` answers every request in the caller's thread through
+one :class:`~repro.graphs.server.ModelServer` front end over the fleet's
+shared plan-cache directory.  Only a request that misses the front end's
+tables and both cache tiers crosses a process boundary: the miss becomes
+one compile task for the least-loaded :mod:`~repro.fleet.worker` process,
+which writes the plan to the shared cache for the front end to load
+through the verified cache path.  ``KernelServer``'s per-(key, bin)
+in-flight lock makes concurrent misses on one key wait for that compile,
+so each distinct plan compiles once per fleet.  Past ``watermark``
+in-flight compiles a miss is *rejected* with a Retry-After hint; warm hits
+never queue, so they are never rejected.  A health monitor respawns dead
+workers (backing off while they die before reporting ready) and fails
+their compile tasks over to survivors, bounded by ``max_retries``.
 
-* **affinity first** — requests for the same ``(kind, target, M-bin)`` key
-  rendezvous-hash to the same worker, so a shape compiles once and then
-  keeps hitting the kernel table that already holds it;
-* **queue-depth aware** — when the affinity worker's queue is more than
-  ``affinity_slack`` deeper than the least-loaded worker's, the router
-  overrides affinity and rebalances (the same queue-length thesis PR 2's
-  ``AdaptiveShardSizer`` applies to search shards);
-* **admission control** — when the aggregate queue depth reaches the
-  configured watermark, new requests are *rejected* with a Retry-After
-  hint instead of queuing without bound (:meth:`ServingFleet.request`
-  returns ``status="rejected"``; :meth:`ServingFleet.serve` retries for
-  callers that prefer blocking);
-* **failover** — a health monitor restarts dead workers and re-dispatches
-  their in-flight requests to surviving replicas (bounded by
-  ``max_retries``), so a worker crash delays requests instead of losing
-  them;
-* **warm-plan broadcast** — after any worker cold-compiles, every replica
-  adopts the plan from the shared cache, so one compile cliff warms the
-  whole fleet.
-
-Everything observable lands in :class:`~repro.fleet.stats.FleetStats`.
+Lock order: the front end holds ``kernel-server.inflight[...]`` while it
+waits for the pool and takes ``fleet-router`` briefly inside it; nothing
+that holds ``fleet-router`` ever calls into the front end.
 """
 
 from __future__ import annotations
 
-import hashlib
+import contextvars
 import itertools
 import logging
+import multiprocessing
+import multiprocessing.connection
 import shutil
 import tempfile
 import threading
 import time
 from concurrent.futures import Future, TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
-
-import multiprocessing
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.locks import make_lock
+from repro.api import CompiledKernel
 from repro.bench.traces import KIND_KERNEL, KIND_MODEL
+from repro.errors import FusionError
 from repro.fleet.config import FleetConfig
 from repro.fleet.stats import FleetStats
 from repro.fleet.worker import worker_main
-from repro.ir.workloads import MODEL_ZOO, get_workload
+from repro.graphs.server import ModelServer
+from repro.ir.graph import GemmChainSpec
 from repro.obs.logging import get_logger, log_event
 from repro.obs.trace import tracer
+from repro.runtime.server import KernelServer
 
 _logger = get_logger(__name__)
 
@@ -58,17 +54,25 @@ STATUS_OK = "ok"
 STATUS_REJECTED = "rejected"
 STATUS_ERROR = "error"
 
+#: Respawn backoff for a worker slot whose processes keep dying before they
+#: report ready: the first such death respawns at once, each further one
+#: doubles the delay from the base, up to the cap.  A ready report resets it.
+RESPAWN_BACKOFF_S = 0.1
+RESPAWN_BACKOFF_MAX_S = 10.0
+
 
 @dataclass(frozen=True)
 class FleetResponse:
     """One answered (or refused) fleet request.
 
     ``status`` is ``"ok"`` for a served request, ``"rejected"`` when
-    admission control refused it (``retry_after_s`` then carries the
-    backoff hint), and ``"error"`` when serving failed (``error`` carries
-    the reason — an unfusable chain, an exhausted failover budget, or a
-    timeout).  ``latency_us`` is end-to-end (queueing, failover and IPC
-    included); ``serve_us`` is the worker-side serving time alone.
+    admission control refused its compile (``retry_after_s`` then carries
+    the backoff hint), and ``"error"`` when serving failed (``error``
+    carries the reason — an unfusable chain, an exhausted failover budget,
+    or a timeout).  ``worker`` is the pool worker that compiled for this
+    request, ``None`` when no compile ran for it.  ``latency_us`` is end to
+    end; ``serve_us`` is the front end's serve alone (for a miss it
+    includes the wait for the compile).
     """
 
     kind: str
@@ -95,79 +99,41 @@ class FleetResponse:
         return self.status == STATUS_REJECTED
 
 
-class FleetRouter:
-    """Deterministic dispatch policy: consistent-hash affinity, load-aware.
+class _Rejected(Exception):
+    """A miss refused by admission control."""
 
-    The router is pure policy — it holds no queues and spawns nothing —
-    so its decisions are unit-testable: given an affinity key and the
-    current per-worker queue depths, :meth:`route` returns the worker id.
+    def __init__(self, retry_after_s: float) -> None:
+        super().__init__(f"compile pool full; retry after {retry_after_s:.3f}s")
+        self.retry_after_s = retry_after_s
 
-    Parameters
-    ----------
-    affinity_slack:
-        How much deeper (in queued requests) the affinity-preferred
-        worker may be than the least-loaded worker before the router
-        abandons affinity and picks the least-loaded worker instead.
-        ``0`` routes purely by load; a large value routes purely by hash.
 
-    Example
-    -------
-    >>> router = FleetRouter(affinity_slack=2)
-    >>> depths = {0: 0, 1: 0, 2: 0}
-    >>> chosen = router.route("kernel:G4:128", depths)
-    >>> chosen == router.route("kernel:G4:128", depths)  # deterministic
-    True
-    >>> busy = {w: (9 if w == chosen else 0) for w in depths}
-    >>> router.route("kernel:G4:128", busy) != chosen    # rebalances
-    True
-    """
+class _PoolError(RuntimeError):
+    """A compile task that failed for a reason other than an unfusable chain."""
 
-    def __init__(self, affinity_slack: int = 2) -> None:
-        if affinity_slack < 0:
-            raise ValueError("affinity_slack must be >= 0")
-        self.affinity_slack = affinity_slack
 
-    @staticmethod
-    def affinity_key(kind: str, target: str, bin_m: int) -> str:
-        """The affinity key one request hashes under."""
-        return f"{kind}:{target}:{bin_m}"
+@dataclass
+class _Ticket:
+    """Per-request context: the pin in, the compiling worker out."""
 
-    @staticmethod
-    def preferred(key: str, workers: List[int]) -> int:
-        """Rendezvous (highest-random-weight) choice for ``key``.
+    pin: Optional[int] = None
+    worker: Optional[int] = None
+    retries: int = 0
 
-        Stable under membership change: removing one worker only remaps
-        the keys that pointed at it, which is what keeps kernel-table
-        affinity intact when a worker dies and rejoins.
-        """
-        if not workers:
-            raise ValueError("no workers to route to")
-        return max(
-            workers,
-            key=lambda worker: hashlib.sha256(
-                f"{key}|{worker}".encode("utf-8")
-            ).digest(),
-        )
 
-    def route(self, key: str, depths: Mapping[int, int]) -> int:
-        """Pick the worker for ``key`` given current queue ``depths``."""
-        workers = sorted(depths)
-        preferred = self.preferred(key, workers)
-        least_depth = min(depths.values())
-        if depths[preferred] <= least_depth + self.affinity_slack:
-            return preferred
-        return min(workers, key=lambda worker: (depths[worker], worker))
+#: The ticket of the fleet request the current thread is serving; model
+#: serves copy it into their per-chain threads with the rest of the context.
+_TICKET: "contextvars.ContextVar[Optional[_Ticket]]" = contextvars.ContextVar(
+    "fleet_ticket", default=None
+)
 
 
 @dataclass
 class _Pending:
-    """Router-side bookkeeping for one dispatched request."""
+    """Router-side bookkeeping for one dispatched compile task."""
 
-    req_id: int
-    kind: str
-    target: str
-    m: int
-    key: str
+    task_id: int
+    chain: GemmChainSpec
+    overrides: Dict[str, object]
     future: "Future[Dict[str, object]]"
     worker: int = -1
     retries: int = 0
@@ -179,20 +145,46 @@ class _Pending:
 class _WorkerHandle:
     """One worker slot: the live process plus its private task queue."""
 
-    def __init__(self, worker_id: int) -> None:
+    def __init__(self, worker_id: int, task_queue) -> None:
         self.worker_id = worker_id
         self.incarnation = -1
         self.process = None
-        self.task_queue = None
+        self.task_queue = task_queue
         self.ready = False
         self.inflight: set = set()
+        #: Deaths before a ready report since the last one (drives backoff).
+        self.failed_starts = 0
+        #: Exit code of the last process that died before reporting ready.
+        self.startup_exitcode: Optional[int] = None
+        #: When a dead slot (``process is None``) is due to respawn.
+        self.respawn_at = 0.0
 
     def alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
 
 
+class _PoolKernelServer(KernelServer):
+    """The front end's kernel server: misses compile on the fleet's pool."""
+
+    def __init__(self, fleet: "ServingFleet", **kwargs: object) -> None:
+        super().__init__(**kwargs)
+        self._fleet = fleet
+
+    def _compile(
+        self, chain: GemmChainSpec, overrides: Dict[str, object]
+    ) -> Tuple[CompiledKernel, str]:
+        source = self._fleet._run_compile(chain, overrides)
+        cache, key = self._cache_slot(chain, overrides)
+        kernel = cache.load_kernel(key, chain=chain) if cache is not None else None
+        if kernel is None:
+            raise _PoolError(
+                f"the plan compiled for {chain.name} is not in the shared cache"
+            )
+        return kernel, source
+
+
 class ServingFleet:
-    """N serving workers behind a queue-aware router with failover.
+    """An in-process serving front end over a pool of compile workers.
 
     Parameters
     ----------
@@ -200,10 +192,11 @@ class ServingFleet:
         A :class:`~repro.fleet.config.FleetConfig`; keyword overrides are
         applied on top (``ServingFleet(workers=4, watermark=32)``).
 
-    Use it as a context manager (or call :meth:`start`/:meth:`close`):
-    workers are real processes sharing the config's on-disk plan-cache
-    namespace, so the fleet survives worker crashes with its compiled
-    plans intact.
+    Use it as a context manager (or call :meth:`start`/:meth:`close`).
+    Requests are answered in the caller's thread by :attr:`front_end`, a
+    :class:`~repro.graphs.server.ModelServer` over the config's shared
+    plan-cache directory; only misses become compile tasks for the worker
+    processes, so a worker crash loses no compiled plan.
 
     Example
     -------
@@ -213,28 +206,35 @@ class ServingFleet:
 
         config = FleetConfig(workers=2, cache_dir="/tmp/fleet-ns")
         with ServingFleet(config) as fleet:
-            response = fleet.serve("G4", m=100)          # routed by affinity
-            print(response.worker, response.source)
-            print(fleet.stats().to_dict()["router"]["routed"])
+            cold = fleet.serve("G4", m=100)   # compiled on a pool worker
+            warm = fleet.serve("G4", m=100)   # answered in-process
+            print(cold.worker, cold.source, warm.worker, warm.source)
+            print(fleet.stats().to_dict()["router"]["dispatched"])
     """
 
     def __init__(
         self, config: Optional[FleetConfig] = None, **overrides: object
     ) -> None:
         self.config = (config or FleetConfig()).replace(**overrides)
-        self.router = FleetRouter(affinity_slack=self.config.affinity_slack)
         self._owns_cache_dir = self.config.cache_dir is None
         self.cache_dir: Optional[str] = (
             None
             if self._owns_cache_dir
             else str(self.config.cache_dir)
         )
+        #: The in-process ModelServer answering every request (set by
+        #: :meth:`start`).
+        self.front_end: Optional[ModelServer] = None
+        self._kernels: Optional[_PoolKernelServer] = None
         self._ctx = multiprocessing.get_context(self.config.start_method)
         self._handles: List[_WorkerHandle] = []
         self._result_queue = None
         self._lock = make_lock("fleet-router")
+        #: Signalled on worker ready/death and stats replies; waiters take
+        #: it before ``_lock``, notifiers take it after releasing ``_lock``.
+        self._changed = threading.Condition()
         self._pending: Dict[int, _Pending] = {}
-        self._req_ids = itertools.count()
+        self._task_ids = itertools.count()
         self._stats_replies: Dict[str, Dict[str, Dict[str, object]]] = {}
         self._stats_tokens = itertools.count()
         self._counters: Dict[str, int] = {
@@ -243,7 +243,7 @@ class ServingFleet:
             "retried": 0,
             "failovers": 0,
             "restarts": 0,
-            "broadcasts": 0,
+            "dispatched": 0,
             "duplicates": 0,
         }
         self._started = False
@@ -255,11 +255,11 @@ class ServingFleet:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self, wait: bool = True, timeout: float = 120.0) -> "ServingFleet":
-        """Spawn the workers and the router threads (idempotent).
+        """Build the front end, spawn the workers and the router threads.
 
-        With ``wait=True`` (the default) the call returns once every
-        worker has built its serving stack and reported ready — so the
-        first request never races worker initialisation.
+        Idempotent.  With ``wait=True`` (the default) the call returns once
+        every worker has reported ready, and raises — after closing the
+        fleet — if a worker exits before it does.
         """
         if self._started:
             return self
@@ -267,12 +267,20 @@ class ServingFleet:
         self._closing = False
         if self.cache_dir is None:
             self.cache_dir = tempfile.mkdtemp(prefix="repro-fleet-")
+        self._kernels = _PoolKernelServer(
+            self,
+            config=self.config.fuser_config(self.cache_dir),
+            m_bins=self.config.m_bins,
+        )
+        self.front_end = ModelServer(server=self._kernels)
         self._result_queue = self._ctx.Queue()
         self._handles = [
-            _WorkerHandle(worker_id) for worker_id in range(self.config.workers)
+            _WorkerHandle(worker_id, self._ctx.Queue())
+            for worker_id in range(self.config.workers)
         ]
-        for handle in self._handles:
-            self._spawn(handle)
+        with self._lock:
+            for handle in self._handles:
+                self._spawn(handle)
         self._collector = threading.Thread(
             target=self._collect_loop, name="fleet-collector", daemon=True
         )
@@ -282,23 +290,37 @@ class ServingFleet:
         )
         self._health.start()
         if wait:
-            self.wait_ready(timeout=timeout)
+            try:
+                self.wait_ready(timeout=timeout)
+            except BaseException:
+                self.close()
+                raise
         return self
 
     def wait_ready(self, timeout: float = 120.0) -> None:
-        """Block until every worker reported ready (raises on timeout)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if all(handle.ready for handle in self._handles):
-                    return
-            time.sleep(0.01)
-        raise TimeoutError(
-            f"fleet workers not ready within {timeout:.0f}s"
-        )
+        """Block until every worker reported ready.
+
+        Raises :class:`RuntimeError` as soon as a worker process exits
+        before reporting ready (naming its exit code), and
+        :class:`TimeoutError` when ``timeout`` passes first.
+        """
+
+        def settled() -> bool:
+            return all(handle.ready for handle in self._handles) or any(
+                handle.startup_exitcode is not None for handle in self._handles
+            )
+
+        if not self._wait_for(settled, timeout):
+            raise TimeoutError(f"fleet workers not ready within {timeout:.0f}s")
+        for handle in self._handles:
+            if handle.startup_exitcode is not None:
+                raise RuntimeError(
+                    f"fleet worker {handle.worker_id} exited with code "
+                    f"{handle.startup_exitcode} before reporting ready"
+                )
 
     def close(self) -> None:
-        """Stop the workers and router threads (idempotent)."""
+        """Stop the workers, router threads and front end (idempotent)."""
         if not self._started:
             return
         self._closing = True
@@ -309,12 +331,10 @@ class ServingFleet:
                 handle.inflight.clear()
         for entry in pending:
             if not entry.future.done():
-                entry.future.set_result(
-                    {"source": None, "bin_m": 0, "latency_us": 0.0,
-                     "error": "fleet closed"}
-                )
+                entry.future.set_result({"error": "fleet closed"})
+        self._notify()
         for handle in self._handles:
-            if handle.task_queue is not None:
+            if handle.alive():
                 try:
                     handle.task_queue.put(("stop",))
                 except (OSError, ValueError):  # lint: allow[silent-except]
@@ -333,6 +353,8 @@ class ServingFleet:
                 thread.join(timeout=2.0)
         self._collector = None
         self._health = None
+        if self.front_end is not None:
+            self.front_end.close()
         if self._owns_cache_dir and self.cache_dir is not None:
             shutil.rmtree(self.cache_dir, ignore_errors=True)
             self.cache_dir = None
@@ -357,90 +379,64 @@ class ServingFleet:
         """Serve one request, or refuse it under backpressure.
 
         ``target`` is a workload id (``kind="kernel"``) or a model-zoo
-        name (``kind="model"``); ``m`` is the runtime M.  When the fleet's
-        aggregate queue depth has reached the admission watermark the
-        request is *not* queued: the response comes back with
+        name (``kind="model"``); ``m`` is the runtime M.  The front end
+        resolves it in this thread; a miss waits for its compile on the
+        pool.  When the pool already holds ``watermark`` compile tasks, a
+        miss is *not* queued: the response comes back with
         ``status="rejected"`` and a ``retry_after_s`` hint (use
         :meth:`serve` for a caller that prefers to block and retry).
-        ``worker`` pins the request to one worker, bypassing both routing
-        and admission — an operational/testing hook, not the normal path.
+        ``worker`` pins this request's compiles to one worker, bypassing
+        both the least-loaded choice and admission — an operational/testing
+        hook, not the normal path.
         """
         if m is None or m <= 0:
             raise ValueError("request(target, m) requires a positive m")
         if kind not in (KIND_KERNEL, KIND_MODEL):
             raise ValueError(f"kind must be 'kernel' or 'model', not {kind!r}")
-        self._validate_target(kind, target)
         if not self._started:
             raise RuntimeError("fleet is not started; use it as a context manager")
         start = time.perf_counter()
-        bin_m = self._bin_for(m)
-        key = FleetRouter.affinity_key(kind, target, bin_m)
-        future: "Future[Dict[str, object]]" = Future()
-        with tracer().span("router.dispatch", key=key) as dspan:
-            wire = tracer().wire_context()
-            with self._lock:
-                inflight = len(self._pending)
-                if worker is None and inflight >= self.config.watermark:
-                    self._counters["rejected"] += 1
-                    excess = inflight - self.config.watermark
-                    retry_after = self.config.retry_after_s * (
-                        1.0 + excess / max(1, self.config.watermark)
-                    )
-                    dspan.set("rejected", True)
-                    return FleetResponse(
-                        kind=kind,
-                        target=target,
-                        m=m,
-                        status=STATUS_REJECTED,
-                        retry_after_s=retry_after,
-                        latency_us=(time.perf_counter() - start) * 1e6,
-                    )
-                handle = self._pick_handle(key, worker)
-                pending = _Pending(
-                    req_id=next(self._req_ids),
-                    kind=kind,
-                    target=target,
-                    m=m,
-                    key=key,
-                    future=future,
-                    wire=wire,
-                )
-                self._counters["routed"] += 1
-                self._dispatch(pending, handle)
-            dspan.set("worker", pending.worker)
+        ticket = _Ticket(pin=worker)
+        token = _TICKET.set(ticket)
+        response = None
+        error: Optional[str] = None
         try:
-            payload = future.result(timeout=self.config.request_timeout_s)
-        except FutureTimeoutError:
+            if kind == KIND_KERNEL:
+                response = self._kernels.request(target, m)
+            else:
+                if target not in self.front_end.models():
+                    self.front_end.register(target, target)  # KeyError if unknown
+                response = self.front_end.serve(target, m=m)
+        except _Rejected as exc:
             with self._lock:
-                entry = self._pending.pop(pending.req_id, None)
-                if entry is not None:
-                    for candidate in self._handles:
-                        candidate.inflight.discard(pending.req_id)
+                self._counters["rejected"] += 1
             return FleetResponse(
                 kind=kind,
                 target=target,
                 m=m,
-                status=STATUS_ERROR,
-                worker=pending.worker,
-                retries=pending.retries,
+                status=STATUS_REJECTED,
+                retry_after_s=exc.retry_after_s,
                 latency_us=(time.perf_counter() - start) * 1e6,
-                error=(
-                    f"timed out after {self.config.request_timeout_s:.0f}s"
-                ),
             )
-        latency_us = (time.perf_counter() - start) * 1e6
-        error = payload.get("error")
+        except FusionError as exc:
+            error = f"FusionError: {exc}"
+        except _PoolError as exc:
+            error = str(exc)
+        finally:
+            _TICKET.reset(token)
+        with self._lock:
+            self._counters["routed"] += 1
         return FleetResponse(
             kind=kind,
             target=target,
             m=m,
             status=STATUS_ERROR if error else STATUS_OK,
-            worker=payload.get("worker", pending.worker),
-            source=payload.get("source"),
-            bin_m=int(payload.get("bin_m", 0)),
-            latency_us=latency_us,
-            serve_us=float(payload.get("latency_us", 0.0)),
-            retries=pending.retries,
+            worker=ticket.worker,
+            source=response.source if response else None,
+            bin_m=self._kernels.bin_for(m),
+            latency_us=(time.perf_counter() - start) * 1e6,
+            serve_us=response.latency_us if response else 0.0,
+            retries=ticket.retries,
             error=error,
         )
 
@@ -476,7 +472,7 @@ class ServingFleet:
     # Introspection and chaos hooks
     # ------------------------------------------------------------------ #
     def queue_depths(self) -> Dict[int, int]:
-        """Dispatched-but-unfinished request count per worker."""
+        """Dispatched-but-unfinished compile tasks per worker."""
         with self._lock:
             return {
                 handle.worker_id: len(handle.inflight)
@@ -489,12 +485,12 @@ class ServingFleet:
             return [h.worker_id for h in self._handles if h.alive()]
 
     def stats(self, timeout: float = 10.0) -> FleetStats:
-        """Aggregate router and per-worker metrics into a snapshot.
+        """Router counters, front-end stats and per-worker metrics.
 
         Workers answer on the ordinary result queue, so a worker stuck in
         a long compile delays its reply; after ``timeout`` the snapshot is
-        returned with whichever workers answered (the router block is
-        always complete).
+        returned with whichever workers answered (the router and front-end
+        blocks are always complete).
         """
         token = f"stats-{next(self._stats_tokens)}"
         with self._lock:
@@ -502,12 +498,9 @@ class ServingFleet:
             targets = [h for h in self._handles if h.alive() and h.ready]
             for handle in targets:
                 handle.task_queue.put(("stats", token))
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if len(self._stats_replies[token]) >= len(targets):
-                    break
-            time.sleep(0.01)
+        self._wait_for(
+            lambda: len(self._stats_replies[token]) >= len(targets), timeout
+        )
         with self._lock:
             per_worker = self._stats_replies.pop(token, {})
             router: Dict[str, object] = dict(self._counters)
@@ -516,15 +509,13 @@ class ServingFleet:
                 str(handle.worker_id): len(handle.inflight)
                 for handle in self._handles
             }
-            router["broadcast_warms"] = sum(
-                int(payload.get("broadcast_warms", 0))
-                for payload in per_worker.values()
-            )
             alive = sum(1 for handle in self._handles if handle.alive())
         return FleetStats(
             workers=self.config.workers,
             alive=alive,
             router=router,
+            serving=self._kernels.stats.to_dict(),
+            models=self.front_end.stats.to_dict(),
             per_worker=per_worker,
         )
 
@@ -532,72 +523,121 @@ class ServingFleet:
         """Kill one worker process outright (chaos/testing hook).
 
         The health monitor notices, restarts the worker and fails its
-        in-flight requests over to the survivors — exactly the crash path
-        this method exists to exercise.
+        in-flight compile tasks over to the survivors — exactly the crash
+        path this method exists to exercise.
         """
         with self._lock:
-            handle = self._handles[worker_id]
-            process = handle.process
+            process = self._handles[worker_id].process
         if process is not None and process.is_alive():
             process.kill()
             process.join(timeout=5.0)
 
     # ------------------------------------------------------------------ #
-    # Internals
+    # Compile pool
     # ------------------------------------------------------------------ #
-    def _bin_for(self, m: int) -> int:
-        bins = self.config.m_bins
-        for bin_m in bins:
-            if m <= bin_m:
-                return bin_m
-        return bins[-1]
+    def _run_compile(
+        self, chain: GemmChainSpec, overrides: Dict[str, object]
+    ) -> str:
+        """Compile ``chain`` on the pool; returns the worker's source.
 
-    @staticmethod
-    def _validate_target(kind: str, target: str) -> None:
-        if kind == KIND_KERNEL:
-            get_workload(target)  # raises KeyError for unknown ids
-        elif target not in MODEL_ZOO:
-            raise KeyError(f"model {target!r} is not in the zoo")
-
-    def _pick_handle(
-        self, key: str, worker: Optional[int]
-    ) -> _WorkerHandle:
-        """Choose the worker for ``key`` (caller holds the lock)."""
-        if worker is not None:
-            return self._handles[worker]
-        candidates = {
-            handle.worker_id: len(handle.inflight)
-            for handle in self._handles
-            if handle.alive()
-        }
-        if not candidates:
-            # Every worker is mid-restart; queue on the affinity choice.
-            candidates = {
-                handle.worker_id: len(handle.inflight)
-                for handle in self._handles
+        Called by the front end's miss hook under its single-flight lock.
+        Raises :class:`_Rejected` past the watermark, :class:`FusionError`
+        for an unfusable chain and :class:`_PoolError` for anything else.
+        """
+        ticket = _TICKET.get()
+        pin = ticket.pin if ticket is not None else None
+        future: "Future[Dict[str, object]]" = Future()
+        with tracer().span("router.dispatch", chain=chain.name) as span:
+            wire = tracer().wire_context()
+            with self._lock:
+                inflight = len(self._pending)
+                if pin is None and inflight >= self.config.watermark:
+                    excess = inflight - self.config.watermark
+                    span.set("rejected", True)
+                    raise _Rejected(
+                        self.config.retry_after_s
+                        * (1.0 + excess / self.config.watermark)
+                    )
+                pending = _Pending(
+                    task_id=next(self._task_ids),
+                    chain=chain,
+                    overrides=dict(overrides),
+                    future=future,
+                    wire=wire,
+                )
+                self._counters["dispatched"] += 1
+                self._dispatch(pending, self._pick_handle(pin))
+            span.set("worker", pending.worker)
+        try:
+            payload = future.result(timeout=self.config.request_timeout_s)
+        except FutureTimeoutError:
+            with self._lock:
+                self._pending.pop(pending.task_id, None)
+                for handle in self._handles:
+                    handle.inflight.discard(pending.task_id)
+            payload = {
+                "error": f"timed out after {self.config.request_timeout_s:.0f}s"
             }
-        return self._handles[self.router.route(key, candidates)]
+        if ticket is not None:
+            ticket.worker = payload.get("worker", pending.worker)
+            ticket.retries = max(ticket.retries, pending.retries)
+        error = payload.get("error")
+        if error:
+            raise (FusionError if payload.get("unfusable") else _PoolError)(error)
+        return str(payload["source"])
+
+    def _pick_handle(self, pin: Optional[int]) -> _WorkerHandle:
+        """The pinned worker, else the least-loaded live one (lock held)."""
+        if pin is not None:
+            return self._handles[pin]
+        live = [handle for handle in self._handles if handle.alive()]
+        # With every worker mid-restart, queue on the least-loaded slot.
+        return min(
+            live or self._handles,
+            key=lambda handle: (len(handle.inflight), handle.worker_id),
+        )
 
     def _dispatch(self, pending: _Pending, handle: _WorkerHandle) -> None:
-        """Send one request to one worker (caller holds the lock).
+        """Send one compile task to one worker (caller holds the lock).
 
-        The task tuple is ``("serve", req_id, kind, target, m)``, extended
-        with the trace wire context as an optional sixth element when the
-        request carries one (workers tolerate both arities).
+        The task tuple is ``("compile", task_id, chain, overrides)``,
+        extended with the trace wire context as an optional fifth element
+        when the request carries one (workers tolerate both arities).
         """
         pending.worker = handle.worker_id
-        self._pending[pending.req_id] = pending
-        handle.inflight.add(pending.req_id)
-        task = ("serve", pending.req_id, pending.kind, pending.target, pending.m)
+        self._pending[pending.task_id] = pending
+        handle.inflight.add(pending.task_id)
+        task = ("compile", pending.task_id, pending.chain, pending.overrides)
         if pending.wire is not None:
             task = task + (pending.wire,)
         handle.task_queue.put(task)
 
+    # ------------------------------------------------------------------ #
+    # Internals
+    # ------------------------------------------------------------------ #
+    def _wait_for(self, predicate: Callable[[], bool], timeout: float) -> bool:
+        """Wait until ``predicate()`` (evaluated under the lock) holds."""
+        deadline = time.monotonic() + timeout
+        with self._changed:
+            while True:
+                with self._lock:
+                    if predicate():
+                        return True
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
+                self._changed.wait(remaining)
+
+    def _notify(self) -> None:
+        with self._changed:
+            self._changed.notify_all()
+
     def _spawn(self, handle: _WorkerHandle) -> None:
-        """Start (or restart) one worker process (caller holds no/any lock)."""
+        """Start (or restart) one worker process (caller holds the lock)."""
         handle.incarnation += 1
         handle.ready = False
-        handle.task_queue = self._ctx.Queue()
+        if handle.incarnation > 0:
+            self._counters["restarts"] += 1
         handle.process = self._ctx.Process(
             target=worker_main,
             args=(
@@ -630,37 +670,24 @@ class ServingFleet:
             op = message[0]
             if op == "result":
                 self._on_result(message)
-            elif op == "compiled":
-                self._on_compiled(message)
             elif op == "ready":
                 self._on_ready(message)
             elif op == "stats":
                 self._on_stats(message)
 
     def _on_result(self, message) -> None:
-        _, worker_id, _incarnation, req_id, payload = message
+        _, worker_id, _incarnation, task_id, payload = message
         payload = dict(payload)
         payload["worker"] = worker_id
         with self._lock:
-            pending = self._pending.pop(req_id, None)
+            pending = self._pending.pop(task_id, None)
             for handle in self._handles:
-                handle.inflight.discard(req_id)
+                handle.inflight.discard(task_id)
             if pending is None:
                 self._counters["duplicates"] += 1
                 return
         if not pending.future.done():
             pending.future.set_result(payload)
-
-    def _on_compiled(self, message) -> None:
-        _, worker_id, _incarnation, kind, target, m = message
-        if not self.config.broadcast:
-            return
-        with self._lock:
-            self._counters["broadcasts"] += 1
-            for handle in self._handles:
-                if handle.worker_id == worker_id or not handle.alive():
-                    continue
-                handle.task_queue.put(("warm", kind, target, m))
 
     def _on_ready(self, message) -> None:
         _, worker_id, incarnation = message
@@ -668,6 +695,9 @@ class ServingFleet:
             handle = self._handles[worker_id]
             if incarnation == handle.incarnation:
                 handle.ready = True
+                handle.failed_starts = 0
+                handle.startup_exitcode = None
+        self._notify()
 
     def _on_stats(self, message) -> None:
         _, worker_id, _incarnation, token, payload = message
@@ -675,28 +705,57 @@ class ServingFleet:
             replies = self._stats_replies.get(token)
             if replies is not None:
                 replies[str(worker_id)] = payload
+        self._notify()
 
     def _health_loop(self) -> None:
+        """Wake on any worker exit (or a due respawn) and handle it."""
         while not self._closing:
-            time.sleep(self.config.health_interval_s)
+            with self._lock:
+                sentinels = [
+                    handle.process.sentinel
+                    for handle in self._handles
+                    if handle.process is not None
+                ]
+                due = [
+                    handle.respawn_at
+                    for handle in self._handles
+                    if handle.process is None
+                ]
+            timeout = self.config.health_interval_s
+            if due:
+                timeout = min(timeout, max(0.0, min(due) - time.monotonic()))
+            multiprocessing.connection.wait(sentinels, timeout=timeout)
             if self._closing:
                 return
             for handle in list(self._handles):
                 if handle.process is not None and not handle.process.is_alive():
                     self._handle_death(handle)
+                elif handle.process is None and time.monotonic() >= handle.respawn_at:
+                    with self._lock:
+                        if not self._closing and handle.process is None:
+                            self._spawn(handle)
 
     def _handle_death(self, handle: _WorkerHandle) -> None:
-        """Restart a dead worker and fail its in-flight requests over."""
+        """Schedule a dead worker's respawn and fail its tasks over."""
         with self._lock:
-            if self._closing or handle.alive():
+            if self._closing or handle.process is None or handle.alive():
                 return
+            exitcode = handle.process.exitcode
+            delay = 0.0
+            if handle.failed_starts:
+                delay = min(
+                    RESPAWN_BACKOFF_MAX_S,
+                    RESPAWN_BACKOFF_S * 2 ** (handle.failed_starts - 1),
+                )
+            if not handle.ready:
+                handle.failed_starts += 1
+                handle.startup_exitcode = exitcode
             orphaned = [
-                self._pending[req_id]
-                for req_id in sorted(handle.inflight)
-                if req_id in self._pending
+                self._pending[task_id]
+                for task_id in sorted(handle.inflight)
+                if task_id in self._pending
             ]
             handle.inflight.clear()
-            self._counters["restarts"] += 1
             if orphaned:
                 self._counters["failovers"] += 1
             log_event(
@@ -705,37 +764,46 @@ class ServingFleet:
                 level=logging.WARNING,
                 worker=handle.worker_id,
                 incarnation=handle.incarnation,
+                exitcode=exitcode,
                 orphaned=len(orphaned),
+                respawn_in_s=delay,
             )
-            self._spawn(handle)
+            # Tasks queued for the dead incarnation were failed over below;
+            # its successor starts from an empty queue.
+            handle.process = None
+            handle.ready = False
+            handle.task_queue = self._ctx.Queue()
+            handle.respawn_at = time.monotonic() + delay
+            if delay == 0.0:
+                self._spawn(handle)
             for pending in orphaned:
-                pending.retries += 1
-                if pending.retries > self.config.max_retries:
-                    self._pending.pop(pending.req_id, None)
-                    if not pending.future.done():
-                        pending.future.set_result(
-                            {
-                                "source": None,
-                                "bin_m": 0,
-                                "latency_us": 0.0,
-                                "error": (
-                                    "failover budget exhausted after "
-                                    f"{pending.retries - 1} retries"
-                                ),
-                            }
+                self._fail_over(pending, handle)
+        self._notify()
+
+    def _fail_over(self, pending: _Pending, dead: _WorkerHandle) -> None:
+        """Re-dispatch one orphaned compile task (caller holds the lock)."""
+        pending.retries += 1
+        self._pending.pop(pending.task_id, None)
+        if pending.retries > self.config.max_retries:
+            if not pending.future.done():
+                pending.future.set_result(
+                    {
+                        "error": (
+                            "failover budget exhausted after "
+                            f"{pending.retries - 1} retries"
                         )
-                    continue
-                self._counters["retried"] += 1
-                survivors = {
-                    other.worker_id: len(other.inflight)
-                    for other in self._handles
-                    if other.alive() and other.worker_id != handle.worker_id
-                }
-                if survivors:
-                    target = self._handles[
-                        self.router.route(pending.key, survivors)
-                    ]
-                else:
-                    target = handle  # single-worker fleet: queue on restart
-                self._pending.pop(pending.req_id, None)
-                self._dispatch(pending, target)
+                    }
+                )
+            return
+        self._counters["retried"] += 1
+        survivors = [
+            other
+            for other in self._handles
+            if other.alive() and other is not dead
+        ]
+        # A single-worker fleet queues on the dead slot for its successor.
+        target = min(
+            survivors or [dead],
+            key=lambda handle: (len(handle.inflight), handle.worker_id),
+        )
+        self._dispatch(pending, target)

@@ -1,20 +1,17 @@
-"""Fleet-level metrics aggregation.
+"""Fleet-level metrics snapshot.
 
 :class:`FleetStats` is the one observable view of a running
 :class:`~repro.fleet.router.ServingFleet`: router counters (routed,
-rejected, retried, failovers, restarts, broadcast activity, per-worker
-queue depths) plus every worker's
-:class:`~repro.runtime.stats.ServingStats` — merged into one fleet-wide
-serving aggregate via :meth:`ServingStats.merge` rather than ad-hoc
-dictionary math, with the raw per-worker payloads preserved alongside.
+rejected, retried, failovers, restarts, dispatched compile tasks,
+per-worker queue depths), the front end's kernel- and model-level
+:class:`~repro.runtime.stats.ServingStats`, and each compile worker's own
+payload.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Mapping
-
-from repro.runtime.stats import ServingStats
 
 #: Pinned key order of the ``router`` block in :meth:`FleetStats.to_dict`.
 ROUTER_KEYS = (
@@ -23,8 +20,7 @@ ROUTER_KEYS = (
     "retried",
     "failovers",
     "restarts",
-    "broadcasts",
-    "broadcast_warms",
+    "dispatched",
     "duplicates",
     "inflight",
     "queue_depth",
@@ -38,27 +34,27 @@ class FleetStats:
     Parameters
     ----------
     workers:
-        Configured worker count.
+        Configured compile-pool size.
     alive:
         Workers whose processes were alive at snapshot time.
     router:
         Router counters (see :data:`ROUTER_KEYS`) including per-worker
         queue depths at snapshot time.
+    serving:
+        The front end's kernel-level :meth:`ServingStats.to_dict` — every
+        request the fleet answered, whichever tier resolved it.
+    models:
+        The front end's model-level :meth:`ServingStats.to_dict`.
     per_worker:
-        Raw per-worker payloads (serving stats, model stats, cache stats,
-        broadcast warms), keyed by worker id as a string.
-
-    The fleet-wide ``serving`` aggregate is *derived*: every worker's
-    kernel-level :class:`ServingStats` is rebuilt from its payload and
-    folded together with :meth:`ServingStats.merge`, so the fleet view and
-    the per-worker views can never disagree about totals.
+        Raw per-worker payloads (compile count, plan-cache stats), keyed by
+        worker id as a string.
 
     Example
     -------
     >>> stats = FleetStats(
     ...     workers=1, alive=1,
     ...     router={"routed": 2, "rejected": 0},
-    ...     per_worker={"0": {"broadcast_warms": 0}},
+    ...     per_worker={"0": {"compiles": 1}},
     ... )
     >>> stats.to_dict()["workers"], stats.to_dict()["router"]["routed"]
     (1, 2)
@@ -67,51 +63,21 @@ class FleetStats:
     workers: int
     alive: int
     router: Dict[str, object] = field(default_factory=dict)
+    serving: Dict[str, object] = field(default_factory=dict)
+    models: Dict[str, object] = field(default_factory=dict)
     per_worker: Dict[str, Dict[str, object]] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------ #
-    # Aggregation
-    # ------------------------------------------------------------------ #
-    def merged_serving(self) -> ServingStats:
-        """All workers' kernel-level serving stats, merged into one sink."""
-        merged = ServingStats()
-        for payload in self.per_worker.values():
-            serving = payload.get("serving")
-            if isinstance(serving, Mapping):
-                merged.merge(ServingStats.from_dict(serving))
-        return merged
-
-    def merged_models(self) -> ServingStats:
-        """All workers' model-level serving stats, merged into one sink."""
-        merged = ServingStats()
-        for payload in self.per_worker.values():
-            models = payload.get("models")
-            if isinstance(models, Mapping):
-                merged.merge(ServingStats.from_dict(models))
-        return merged
-
-    @property
-    def broadcast_warms(self) -> int:
-        """Table entries adopted via the broadcast channel, fleet-wide."""
-        return sum(
-            int(payload.get("broadcast_warms", 0))
-            for payload in self.per_worker.values()
-        )
 
     @property
     def restarts(self) -> int:
-        """Worker processes restarted by the health monitor."""
+        """Worker processes respawned by the health monitor."""
         return int(self.router.get("restarts", 0))
 
-    # ------------------------------------------------------------------ #
-    # Serialization
-    # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, object]:
         """Plain-dictionary form with a pinned top-level key order.
 
         Key order is ``workers``, ``alive``, ``router`` (its keys in
-        :data:`ROUTER_KEYS` order), ``serving`` (the merged kernel-level
-        aggregate), ``models`` (the merged model-level aggregate) and
+        :data:`ROUTER_KEYS` order), ``serving`` (the front end's
+        kernel-level stats), ``models`` (its model-level stats) and
         ``per_worker`` (sorted by worker id) — so two snapshots of equal
         state serialize identically and fleet artifacts diff cleanly.
         """
@@ -129,8 +95,8 @@ class FleetStats:
             "workers": self.workers,
             "alive": self.alive,
             "router": router,
-            "serving": self.merged_serving().to_dict(),
-            "models": self.merged_models().to_dict(),
+            "serving": dict(self.serving),
+            "models": dict(self.models),
             "per_worker": {
                 key: self.per_worker[key]
                 for key in sorted(self.per_worker, key=int)

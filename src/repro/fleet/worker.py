@@ -1,68 +1,54 @@
-"""Fleet worker process: a real serving stack behind two queues.
+"""Fleet worker process: a stateless compile pool member.
 
-Each fleet worker is an ordinary OS process running
-:func:`worker_main` — it hosts a real
-:class:`~repro.graphs.server.ModelServer` (and therefore a real
-:class:`~repro.runtime.server.KernelServer`) whose plan cache points at the
-fleet's shared on-disk namespace, consumes tasks from its private task
-queue, and answers on the fleet-wide result queue.  Nothing is mocked: a
-cold request inside a worker runs the full fusion search; a warm one hits
-the worker's kernel tables.
+Each fleet worker is an ordinary OS process running :func:`worker_main`.
+It holds one :class:`~repro.api.FlashFuser` whose plan cache points at the
+fleet's shared on-disk namespace and does one thing: run the fusion search
+for a chain the fleet's front end could not find in any cache tier, and
+write the plan to the shared cache.  The worker keeps no kernel tables and
+answers no requests; the front end reads the plan back through the normal
+verified cache path.  Nothing is mocked: a compile task runs the full
+search.
 
-The queue protocol is deliberately tiny (plain tuples of primitives):
+The queue protocol is deliberately tiny (plain tuples, pickled):
 
 Task queue (router -> worker)
-    ``("serve", req_id, kind, target, m)`` — serve one request.  When the
-    router's request carries an active trace, a sixth element extends the
-    tuple: the :meth:`~repro.obs.trace.Tracer.wire_context` triple
+    ``("compile", task_id, chain, overrides)`` — compile one
+    :class:`~repro.ir.graph.GemmChainSpec` under the fleet config plus
+    ``overrides``.  When the request carries an active trace, a fifth
+    element extends the tuple: the
+    :meth:`~repro.obs.trace.Tracer.wire_context` triple
     ``(trace_id, parent_span_id, sent_us)``; workers adopt it so their
-    spans stitch into the router-side trace (and ``sent_us`` yields a
+    spans stitch into the front end's trace (and ``sent_us`` yields a
     queue-wait span).  Workers accept both arities.
-    ``("warm", kind, target, m)`` — adopt a plan from the shared cache
-    (the warm-plan broadcast; no fusion search ever runs).
     ``("stats", token)`` — snapshot and report this worker's metrics.
     ``("stop",)`` — drain and exit.
 
 Result queue (worker -> router)
-    ``("ready", worker_id, incarnation)`` — serving stack is built.
-    ``("result", worker_id, incarnation, req_id, payload)`` — one answer;
-    ``payload`` carries source/latency/bin/error.
-    ``("compiled", worker_id, incarnation, kind, target, m)`` — this worker
-    just cold-compiled; the router fans this out as ``warm`` tasks.
+    ``("ready", worker_id, incarnation)`` — the compiler is built.
+    ``("result", worker_id, incarnation, task_id, payload)`` — one compile;
+    ``payload`` carries the source, elapsed time and any error.
     ``("stats", worker_id, incarnation, token, payload)`` — metrics reply.
-
-Provenance: when a request is served from a table entry that arrived via
-the broadcast channel (rather than this worker's own compile), its first
-serve reports the dedicated source :data:`SOURCE_BROADCAST` — that is how
-"worker B served the shape worker A compiled" stays visible all the way up
-into :class:`~repro.bench.report.PerfReport` source histograms.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Mapping
 
-from repro.bench.traces import KIND_KERNEL, KIND_MODEL
+from repro.api import CompileRequest, FlashFuser
 from repro.errors import FusionError
 from repro.fleet.config import FleetConfig
-from repro.graphs.server import ModelServer
-from repro.ir.workloads import MODEL_ZOO
+from repro.ir.graph import GemmChainSpec
 from repro.obs import trace as obs_trace
 from repro.obs.logging import get_logger, log_event
 from repro.obs.trace import set_process_tag, tracer
-from repro.runtime.stats import ServingStats
+from repro.runtime.server import SOURCE_CACHE_DISK, SOURCE_COMPILED, SOURCE_TRANSFER
 
 _logger = get_logger(__name__)
 
-#: Resolution source reported for the first serve from a broadcast-warmed
-#: table entry: the shape was cold-compiled by a *different* worker and
-#: adopted through the shared plan cache.
-SOURCE_BROADCAST = "broadcast"
-
 
 class FleetWorker:
-    """The serving loop body of one fleet worker process.
+    """The compile loop body of one fleet worker process.
 
     Parameters
     ----------
@@ -84,8 +70,10 @@ class FleetWorker:
     -------
     ::
 
+        from repro.ir.workloads import get_chain_spec
+
         worker = FleetWorker(0, 0, FleetConfig(), cache_dir="/tmp/ns")
-        payload = worker.serve("kernel", "G4", 64)
+        payload = worker.compile(get_chain_spec("G4").scaled(m=64), {})
         print(payload["source"])                 # 'compiled'
     """
 
@@ -98,99 +86,54 @@ class FleetWorker:
     ) -> None:
         self.worker_id = worker_id
         self.incarnation = incarnation
-        self.config = config
-        self.server = ModelServer(
-            config=config.fuser_config(cache_dir), m_bins=config.m_bins
-        )
-        self.kernels = self.server.server
-        #: (kind, target, bin) table entries adopted via broadcast whose
-        #: first serve has not happened yet.
-        self._warmed: Set[Tuple[str, str, int]] = set()
-        self.broadcast_warms = 0
+        self.compiler = FlashFuser(config.fuser_config(cache_dir))
+        self.compiles = 0
 
-    # ------------------------------------------------------------------ #
-    # Task handlers
-    # ------------------------------------------------------------------ #
-    def serve(self, kind: str, target: str, m: int) -> Dict[str, object]:
-        """Serve one request; returns the wire payload (never raises)."""
+    def compile(
+        self, chain: GemmChainSpec, overrides: Mapping[str, object]
+    ) -> Dict[str, object]:
+        """Compile ``chain`` into the shared cache; returns the wire payload.
+
+        Never raises: an unfusable chain comes back with ``unfusable`` set
+        (the front end re-raises it as :class:`FusionError`), any other
+        failure as a plain ``error``.
+        """
         start = time.perf_counter()
-        source: Optional[str] = None
-        bin_m = 0
-        error: Optional[str] = None
-        compiled = False
+        payload: Dict[str, object] = {"source": None, "error": None}
         try:
-            if kind == KIND_KERNEL:
-                response = self.kernels.request(target, m)
-                source = response.source
-                bin_m = response.bin_m
-            elif kind == KIND_MODEL:
-                self._ensure_model(target)
-                model_response = self.server.serve(target, m=m)
-                source = model_response.source
-                bin_m = self.kernels.bin_for(m)
-            else:
-                error = f"unknown request kind {kind!r}"
+            response = self.compiler.compile_request(
+                CompileRequest(chain=chain, overrides=dict(overrides))
+            )
         except FusionError as exc:
-            error = f"FusionError: {exc}"
-        except Exception as exc:  # noqa: BLE001 — workers must not die mid-serve
-            error = f"{type(exc).__name__}: {exc}"
-        if source is not None:
-            compiled = ServingStats.is_compile_source(source)
-            warmed_key = (kind, target, bin_m)
-            if not compiled and warmed_key in self._warmed:
-                self._warmed.discard(warmed_key)
-                source = SOURCE_BROADCAST
-        return {
-            "source": source,
-            "bin_m": bin_m,
-            "latency_us": (time.perf_counter() - start) * 1e6,
-            "compiled": compiled,
-            "error": error,
-        }
-
-    def warm(self, kind: str, target: str, m: int) -> bool:
-        """Adopt a broadcast plan from the shared cache (no search)."""
-        try:
-            if kind == KIND_KERNEL:
-                adopted = self.kernels.warm_from_cache(target, m) is not None
-            elif kind == KIND_MODEL:
-                self._ensure_model(target)
-                adopted = self.server.warm_from_cache(target, m=m) > 0
+            payload.update(error=str(exc), unfusable=True)
+        except Exception as exc:  # noqa: BLE001 — workers must not die mid-task
+            payload["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            self.compiles += 1
+            if response.cache_hit:
+                # Another process stored this plan since the front end looked.
+                payload["source"] = SOURCE_CACHE_DISK
+            elif getattr(response.kernel.search, "mode", "exact") == "transfer":
+                payload["source"] = SOURCE_TRANSFER
             else:
-                return False
-        except (FusionError, KeyError, ValueError):
-            return False
-        if adopted:
-            self._warmed.add((kind, target, self.kernels.bin_for(m)))
-            self.broadcast_warms += 1
-        return adopted
+                payload["source"] = SOURCE_COMPILED
+        payload["compile_us"] = (time.perf_counter() - start) * 1e6
+        return payload
 
     def stats_payload(self) -> Dict[str, object]:
         """This worker's metrics, as plain JSON-able data."""
         payload: Dict[str, object] = {
             "worker": self.worker_id,
             "incarnation": self.incarnation,
-            "broadcast_warms": self.broadcast_warms,
-            "serving": self.kernels.stats.to_dict(),
-            "models": self.server.stats.to_dict(),
+            "compiles": self.compiles,
         }
-        if self.kernels.cache is not None:
-            payload["cache"] = self.kernels.cache.stats.snapshot()
+        if self.compiler.cache is not None:
+            payload["cache"] = self.compiler.cache.stats.snapshot()
         return payload
 
     def close(self) -> None:
-        """Release the serving stack's pools."""
-        self.server.close()
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _ensure_model(self, target: str) -> None:
-        if target in self.server.models():
-            return
-        if target not in MODEL_ZOO:
-            raise KeyError(f"model {target!r} is not in the zoo")
-        self.server.register(target, target)
+        """Release the compiler's pools."""
+        self.compiler.close()
 
 
 def worker_main(
@@ -201,7 +144,7 @@ def worker_main(
     task_queue,
     result_queue,
 ) -> None:
-    """Process entry point: build the stack, then serve until ``stop``.
+    """Process entry point: build the compiler, then compile until ``stop``.
 
     Parameters
     ----------
@@ -231,9 +174,9 @@ def worker_main(
             op = task[0]
             if op == "stop":
                 break
-            if op == "serve":
-                _, req_id, kind, target, m = task[:5]
-                wire = task[5] if len(task) > 5 else None
+            if op == "compile":
+                _, task_id, chain, overrides = task[:4]
+                wire = task[4] if len(task) > 4 else None
                 with tracer().adopt(wire):
                     if wire is not None and obs_trace.enabled():
                         # The gap between the router's send timestamp and
@@ -245,20 +188,13 @@ def worker_main(
                             worker=worker_id,
                         )
                     with tracer().span(
-                        "worker.serve", worker=worker_id, target=target
+                        "worker.compile", worker=worker_id, chain=chain.name
                     ) as span:
-                        payload = worker.serve(kind, target, m)
+                        payload = worker.compile(chain, overrides)
                         span.set("source", payload.get("source"))
-                if payload.pop("compiled"):
-                    result_queue.put(
-                        ("compiled", worker_id, incarnation, kind, target, m)
-                    )
                 result_queue.put(
-                    ("result", worker_id, incarnation, req_id, payload)
+                    ("result", worker_id, incarnation, task_id, payload)
                 )
-            elif op == "warm":
-                _, kind, target, m = task
-                worker.warm(kind, target, m)
             elif op == "stats":
                 _, token = task
                 result_queue.put(

@@ -18,6 +18,7 @@ per-chain stats.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 from collections import OrderedDict
@@ -270,36 +271,6 @@ class ModelServer:
                 phase_times_us=phase_times_us,
             )
 
-    def warm_from_cache(self, name: str, m: Optional[int] = None) -> int:
-        """Warm every chain of model ``name`` at ``m`` from the plan cache.
-
-        Materialises the model's graph, extracts its chains and resolves
-        each through :meth:`KernelServer.warm_from_cache` — table entries
-        are adopted from the shared plan cache without running any fusion
-        search, and nothing is recorded in the serving stats.  Returns the
-        number of chains warmed (chains with no cached plan are skipped).
-
-        This is the model-level half of the fleet's warm-plan broadcast:
-        after one worker cold-compiles a model's chains, its replicas adopt
-        them so the next serve is a table hit.
-
-        Example
-        -------
-        ::
-
-            replica.register("bert", "BERT")
-            replica.warm_from_cache("bert", m=128)    # no search runs
-        """
-        _, extraction, _ = self._materialize(name, m)
-        warmed = 0
-        for match in extraction.matches:
-            source = self.server.warm_from_cache(
-                CompileRequest(chain=match.chain)
-            )
-            if source is not None:
-                warmed += 1
-        return warmed
-
     def snapshot(self) -> Dict[str, object]:
         """Model-level metrics plus the backing kernel server's snapshot."""
         return {
@@ -352,8 +323,12 @@ class ModelServer:
                 return self._settle(match)
 
         with ThreadPoolExecutor(max_workers=min(8, len(matches))) as pool:
+            # Each chain runs in a copy of the caller's context, so context
+            # variables set around serve() reach the kernel server's hooks.
             futures = {
-                match.chain.name: pool.submit(settle, match)
+                match.chain.name: pool.submit(
+                    contextvars.copy_context().run, settle, match
+                )
                 for match in matches
             }
             return {name: future.result() for name, future in futures.items()}

@@ -21,9 +21,9 @@ Disk entries are never trusted blindly: every load runs the typed parser
 (stale format versions and corrupt payloads are counted separately in
 :class:`CacheStats`) and then the semantic
 :class:`~repro.analysis.verify.PlanVerifier` — capacity, legality,
-consistency and key-agreement checks — before an entry may serve.  Since
-fleet warm-plan broadcasts adopt entries through this same path, replicas
-cannot be poisoned by a tampered or torn file either.
+consistency and key-agreement checks — before an entry may serve.  Since a
+serving fleet's front end reads its workers' plans through this same path,
+it cannot be poisoned by a tampered or torn file either.
 """
 
 from __future__ import annotations
@@ -306,9 +306,9 @@ class PlanCache:
         corrupt, stale or invariant-violating entry — including one whose
         tile footprint overflows the fingerprinted device — is treated as
         a miss and counted in :class:`CacheStats`, so the request falls
-        through to a cold compile instead of serving a bad plan.  Fleet
-        broadcast adoption flows through the same read path, so replicas
-        verify plans before adopting them.
+        through to a cold compile instead of serving a bad plan.  A
+        serving fleet's front end reads its workers' plans through the
+        same path, so it verifies every plan before serving it.
 
     All operations are thread-safe; the
     :class:`~repro.runtime.batch.BatchCompiler` relies on this to fan

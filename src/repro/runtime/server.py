@@ -35,7 +35,7 @@ from repro.ir.graph import GemmChainSpec
 from repro.ir.workloads import get_chain_spec
 from repro.obs.trace import tracer
 from repro.runtime.batch import BatchCompiler
-from repro.runtime.cache import TIER_MEMORY
+from repro.runtime.cache import TIER_MEMORY, PlanCache
 from repro.runtime.stats import ServingStats
 from repro.runtime.warmup import WarmupReport, warmup_workloads
 
@@ -310,50 +310,6 @@ class KernelServer:
                 existing.kernels.update(table.kernels)
         return report
 
-    def warm_from_cache(
-        self,
-        request: Union[str, CompileRequest],
-        m: Optional[int] = None,
-    ) -> Optional[str]:
-        """Warm one table entry from the plan cache *without* compiling.
-
-        Resolves ``request`` (same forms as :meth:`request`) through the
-        plan cache only: when the binned chain's entry exists in either
-        cache tier, the rehydrated kernel is inserted into the kernel table
-        and the serving tier it came from (``cache:memory``/``cache:disk``)
-        is returned; otherwise ``None`` — no fusion search ever runs and no
-        request is recorded in :attr:`stats`.
-
-        This is the fleet's warm-plan broadcast primitive: after one worker
-        cold-compiles a shape into the shared disk cache, every replica
-        calls this to adopt the plan without paying the compile cliff.
-
-        Example
-        -------
-        ::
-
-            server_b.warm_from_cache("G4", 128)   # after A compiled G4/128
-            server_b.request("G4", 100).source    # 'table'
-        """
-        key, base, runtime_m, overrides = self._parse_request(request, m)
-        bin_m = self.bin_for(runtime_m)
-        config = self.compiler.config.replace(**overrides)
-        cache = self.compiler._cache_for(config)
-        if cache is None:
-            return None
-        binned = base.scaled(m=bin_m, name=f"{base.name}_m{bin_m}")
-        cache_key = cache.key_for(
-            binned, self.compiler._device_for(config), config.cache_key_fields()
-        )
-        tier = cache.tier_of(cache_key)
-        kernel = cache.load_kernel(cache_key, chain=binned)
-        if kernel is None:
-            return None
-        with self._lock:
-            table = self._tables.setdefault(key, KernelTable(chain=base))
-            table.kernels.setdefault(bin_m, kernel)
-        return SOURCE_CACHE_MEMORY if tier == TIER_MEMORY else SOURCE_CACHE_DISK
-
     def close(self) -> None:
         """Release compiler-held worker pools (idempotent).
 
@@ -438,25 +394,16 @@ class KernelServer:
 
     def _resolve_miss(
         self, chain: GemmChainSpec, overrides: Dict[str, object]
-    ):
-        """Resolve a table miss through the cache, then on-demand compile.
+    ) -> Tuple[CompiledKernel, str]:
+        """Resolve a table miss through the cache, then :meth:`_compile`.
 
         The cache is consulted directly (rather than inferring the source
         afterwards) so the recorded source is what actually happened — an
         unreadable disk entry, for example, is reported as a compile.
         """
-        config = self.compiler.config.replace(**overrides)
-        # Resolve the cache and device exactly as compile_request will, so
-        # the key consulted here is the key a fresh compile stores under
-        # even when the overrides redirect the device or the cache.
-        cache = self.compiler._cache_for(config)
+        cache, key = self._cache_slot(chain, overrides)
         if cache is not None:
             with tracer().span("server.cache", chain=chain.name) as span:
-                key = cache.key_for(
-                    chain,
-                    self.compiler._device_for(config),
-                    config.cache_key_fields(),
-                )
                 tier = cache.tier_of(key)
                 kernel = cache.load_kernel(key, chain=chain)
                 span.set("hit", kernel is not None)
@@ -466,9 +413,39 @@ class KernelServer:
                 )
                 return kernel, source
         with tracer().span("server.compile", chain=chain.name):
-            response = self.compiler.compile_request(
-                CompileRequest(chain=chain, overrides=overrides)
-            )
+            return self._compile(chain, overrides)
+
+    def _compile(
+        self, chain: GemmChainSpec, overrides: Dict[str, object]
+    ) -> Tuple[CompiledKernel, str]:
+        """Compile a chain no table or cache tier holds: the miss hook.
+
+        Runs the fusion search in this process and answers with the kernel
+        and its source (``compiled`` or ``compiled:transfer``).  Subclasses
+        override this one method to compile elsewhere; the caller holds the
+        per-(key, bin) single-flight lock, so it runs once per miss.
+        """
+        response = self.compiler.compile_request(
+            CompileRequest(chain=chain, overrides=overrides)
+        )
         if getattr(response.kernel.search, "mode", "exact") == "transfer":
             return response.kernel, SOURCE_TRANSFER
         return response.kernel, SOURCE_COMPILED
+
+    def _cache_slot(
+        self, chain: GemmChainSpec, overrides: Dict[str, object]
+    ) -> Tuple[Optional[PlanCache], Optional[str]]:
+        """The plan cache and key a compile of ``chain`` stores under.
+
+        Resolves the cache and device exactly as ``compile_request`` will,
+        so the key is right even when the overrides redirect the device or
+        the cache; ``(None, None)`` when no cache applies.
+        """
+        config = self.compiler.config.replace(**overrides)
+        cache = self.compiler._cache_for(config)
+        if cache is None:
+            return None, None
+        key = cache.key_for(
+            chain, self.compiler._device_for(config), config.cache_key_fields()
+        )
+        return cache, key

@@ -1,28 +1,27 @@
-"""Tests for the distributed serving fleet (`repro.fleet`).
+"""Tests for the serving fleet (`repro.fleet`).
 
-The router-policy, config and stats classes are tested in-process; the
-fleet lifecycle tests spin up real worker processes, so they use the
-cheapest compiler knobs (``top_k=2``, ``max_tile=64``) and share fleets
-per class where the scenarios allow it.
+The config and stats classes are tested in-process; the fleet lifecycle
+tests spin up real worker processes, so they use the cheapest compiler
+knobs (``top_k=2``, ``max_tile=64``) and share fleets per class where the
+scenarios allow it.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
 import time
 
 import pytest
 
+from repro.api import CompileRequest
 from repro.bench.driver import LoadDriver
 from repro.bench.traces import KIND_MODEL, poisson_trace
-from repro.fleet import (
-    SOURCE_BROADCAST,
-    FleetConfig,
-    FleetRouter,
-    FleetStats,
-    ServingFleet,
-)
+from repro.fleet import FleetConfig, FleetStats, ServingFleet
+from repro.fleet import router as fleet_router
 from repro.fleet.stats import ROUTER_KEYS
+from repro.runtime.server import KernelServer
 from repro.runtime.stats import ServingStats
 
 #: Cheapest search knobs — fleet tests pay real compiles, keep them short.
@@ -36,65 +35,6 @@ def _wait(predicate, timeout_s=10.0, interval_s=0.02):
             return True
         time.sleep(interval_s)
     return False
-
-
-# --------------------------------------------------------------------- #
-# Router policy (pure, no processes)
-# --------------------------------------------------------------------- #
-class TestFleetRouter:
-    def test_affinity_is_deterministic(self):
-        router = FleetRouter(affinity_slack=2)
-        depths = {0: 0, 1: 0, 2: 0, 3: 0}
-        for key in ("kernel:G4:64", "model:BERT:256", "kernel:G10:128"):
-            first = router.route(key, depths)
-            assert all(
-                router.route(key, depths) == first for _ in range(10)
-            )
-
-    def test_affinity_spreads_keys(self):
-        router = FleetRouter()
-        depths = {0: 0, 1: 0, 2: 0, 3: 0}
-        chosen = {
-            router.route(f"kernel:G{i}:64", depths) for i in range(40)
-        }
-        assert len(chosen) == 4  # rendezvous hashing uses every worker
-
-    def test_least_loaded_override_past_slack(self):
-        router = FleetRouter(affinity_slack=2)
-        key = "kernel:G4:64"
-        flat = {0: 0, 1: 0, 2: 0}
-        preferred = router.route(key, flat)
-        inside_slack = {**flat, preferred: 2}
-        assert router.route(key, inside_slack) == preferred
-        beyond_slack = {**flat, preferred: 3}
-        override = router.route(key, beyond_slack)
-        assert override != preferred
-        assert beyond_slack[override] == 0
-
-    def test_zero_slack_routes_by_load(self):
-        router = FleetRouter(affinity_slack=0)
-        key = "kernel:G4:64"
-        preferred = router.route(key, {0: 0, 1: 0})
-        assert router.route(key, {preferred: 1, 1 - preferred: 0}) == (
-            1 - preferred
-        )
-
-    def test_rendezvous_membership_stability(self):
-        # Removing one worker only remaps the keys that pointed at it.
-        workers = [0, 1, 2, 3]
-        keys = [f"kernel:G{i}:{m}" for i in range(25) for m in (64, 256)]
-        before = {key: FleetRouter.preferred(key, workers) for key in keys}
-        survivors = [0, 1, 3]
-        for key, owner in before.items():
-            after = FleetRouter.preferred(key, survivors)
-            if owner != 2:
-                assert after == owner
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            FleetRouter(affinity_slack=-1)
-        with pytest.raises(ValueError):
-            FleetRouter.preferred("key", [])
 
 
 # --------------------------------------------------------------------- #
@@ -112,8 +52,9 @@ class TestFleetConfig:
             FleetConfig(watermark=0)
         with pytest.raises(ValueError):
             FleetConfig(start_method="threads")
-        with pytest.raises(ValueError):
-            FleetConfig.from_dict({"worker_count": 2})
+        for unknown in ("worker_count", "affinity_slack", "broadcast"):
+            with pytest.raises(ValueError):
+                FleetConfig.from_dict({unknown: 2})
 
     def test_fuser_config_resolves_cache_dir(self):
         config = FleetConfig(device="h100", top_k=3, max_tile=64)
@@ -191,10 +132,6 @@ class TestServingStatsMerge:
 
 class TestFleetStats:
     def _stats(self):
-        worker_payload = lambda n: {  # noqa: E731 — tiny local factory
-            "broadcast_warms": n,
-            "serving": _serving_payload(n),
-        }
         return FleetStats(
             workers=2,
             alive=2,
@@ -203,9 +140,12 @@ class TestFleetStats:
                 "routed": 3,
                 "rejected": 1,
                 "restarts": 0,
+                "dispatched": 2,
                 "custom_counter": 7,
             },
-            per_worker={"1": worker_payload(2), "0": worker_payload(0)},
+            serving=_serving_payload(0),
+            models=_serving_payload(1),
+            per_worker={"1": {"compiles": 2}, "0": {"compiles": 0}},
         )
 
     def test_to_dict_pins_key_order(self):
@@ -223,12 +163,15 @@ class TestFleetStats:
         assert list(router) == pinned + ["custom_counter"]
         assert list(router["queue_depth"]) == ["0", "1"]
         assert list(payload["per_worker"]) == ["0", "1"]
+        assert ROUTER_KEYS[5] == "dispatched"
+        assert not {"broadcasts", "broadcast_warms"} & set(ROUTER_KEYS)
 
-    def test_merged_serving_sums_workers(self):
+    def test_serving_comes_from_front_end(self):
         stats = self._stats()
-        merged = stats.merged_serving()
-        assert merged.requests == 2
-        assert stats.broadcast_warms == 2
+        payload = stats.to_dict()
+        assert payload["serving"] == _serving_payload(0)
+        assert payload["models"] == _serving_payload(1)
+        assert ServingStats.from_dict(payload["serving"]).requests == 1
         assert stats.restarts == 0
 
 
@@ -236,6 +179,10 @@ def _serving_payload(extra: int) -> dict:
     stats = ServingStats()
     stats.record_request("G1", "table", 10.0 + extra)
     return stats.to_dict()
+
+
+def _dispatched(fleet) -> int:
+    return fleet.stats(timeout=5.0).router["dispatched"]
 
 
 # --------------------------------------------------------------------- #
@@ -249,26 +196,36 @@ def fleet():
 
 
 class TestFleetServing:
-    def test_cold_then_warm_with_affinity(self, fleet):
+    def test_warm_hit_is_answered_in_process(self, fleet):
         cold = fleet.serve("G4", m=100)
         assert cold.ok and cold.source == "compiled"
+        assert cold.worker in (0, 1)
+        dispatched = _dispatched(fleet)
         warm = fleet.serve("G4", m=100)
-        assert warm.ok and warm.source in ("table", "cache:memory")
-        # Affinity: the same (kind, target, bin) lands on the same worker.
-        assert warm.worker == cold.worker
+        assert warm.ok and warm.source == "table"
+        assert warm.worker is None
         assert warm.bin_m == cold.bin_m
+        assert _dispatched(fleet) == dispatched
 
-    def test_broadcast_warms_other_replica(self, fleet):
-        cold = fleet.serve("G10", m=40)
-        assert cold.ok and cold.source == "compiled"
-        other = 1 - cold.worker
-        # The broadcast fans out asynchronously; wait for the other
-        # replica to adopt the plan, then serve from it directly.
-        assert _wait(lambda: fleet.stats(timeout=5.0).broadcast_warms >= 1)
-        served = fleet.request("G10", 40, worker=other)
-        assert served.ok
-        assert served.worker == other
-        assert served.source == SOURCE_BROADCAST
+    def test_concurrent_misses_compile_once(self, fleet):
+        dispatched = _dispatched(fleet)
+        barrier = threading.Barrier(4)
+        responses = []
+
+        def miss():
+            barrier.wait()
+            responses.append(fleet.request("G10", 40))
+
+        threads = [threading.Thread(target=miss) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert len(responses) == 4 and all(r.ok for r in responses)
+        sources = sorted(r.source for r in responses)
+        assert sources[0].startswith("compiled")
+        assert sources[1:] == ["table"] * 3
+        assert _dispatched(fleet) == dispatched + 1
 
     def test_model_requests_register_on_demand(self, fleet):
         response = fleet.serve("BERT", m=64, kind=KIND_MODEL)
@@ -291,9 +248,103 @@ class TestFleetServing:
         assert stats.alive == 2
         payload = stats.to_dict()
         assert payload["router"]["routed"] >= 1
+        assert payload["router"]["dispatched"] >= 1
         assert set(payload["router"]["queue_depth"]) == {"0", "1"}
         assert set(payload["per_worker"]) == {"0", "1"}
         assert payload["serving"]["requests"] >= 1
+
+
+class TestFrontEnd:
+    def test_warm_request_not_blocked_by_pending_compile(self):
+        with ServingFleet(FleetConfig(workers=1, **FAST)) as fleet:
+            assert fleet.serve("G1", m=64).ok
+            process = fleet._handles[0].process
+            os.kill(process.pid, signal.SIGSTOP)
+            try:
+                cold = []
+                blocked = threading.Thread(
+                    target=lambda: cold.append(fleet.request("G2", 64)),
+                    daemon=True,
+                )
+                blocked.start()
+                assert _wait(lambda: len(fleet._pending) == 1)
+                # The only worker is stopped mid-queue; a warm request for
+                # another key is still answered by the front end.
+                warm = fleet.request("G1", 64)
+                assert warm.ok and warm.source == "table"
+                assert warm.worker is None
+                assert not cold and len(fleet._pending) == 1
+            finally:
+                os.kill(process.pid, signal.SIGCONT)
+            blocked.join(timeout=60.0)
+            assert cold and cold[0].ok and cold[0].source == "compiled"
+
+    def test_pool_plans_match_in_process_compile(self, tmp_path):
+        # perfbench's fleet-mixed model set and bins.
+        models = ("BERT", "GPT-2", "OPT-1.3B", "Qwen2.5-1.5B")
+        config = FleetConfig(workers=2, m_bins=(64, 256), **FAST)
+        with ServingFleet(config, cache_dir=str(tmp_path / "fleet")) as fleet:
+            for model in models:
+                for m in config.m_bins:
+                    assert fleet.serve(model, m=m, kind=KIND_MODEL).ok
+            kernels = fleet.front_end.server
+            tables = {
+                key: kernels.table_for(key)
+                for key in kernels.snapshot()["tables"]
+            }
+            local = KernelServer(
+                config=config.fuser_config(str(tmp_path / "local")),
+                m_bins=config.m_bins,
+            )
+            compared = 0
+            for table in tables.values():
+                for bin_m, pooled in table.kernels.items():
+                    request = CompileRequest(chain=table.chain, m=bin_m)
+                    response = local.request(request)
+                    assert response.source == "compiled"
+                    binned = table.chain.scaled(
+                        m=bin_m, name=f"{table.chain.name}_m{bin_m}"
+                    )
+                    _, key = local._cache_slot(binned, {})
+                    assert kernels.cache.contains(key)
+                    ours = response.kernel
+                    assert pooled.plan.tile == ours.plan.tile
+                    assert pooled.plan.geometry == ours.plan.geometry
+                    assert pooled.plan.schedule == ours.plan.schedule
+                    assert pooled.time_us == ours.time_us
+                    compared += 1
+            local.close()
+        assert compared >= len(models)
+
+
+def _exit_at_start(*_args):
+    os._exit(3)
+
+
+class TestFleetStartup:
+    def test_worker_crash_at_start_fails_fast(self, monkeypatch):
+        monkeypatch.setattr(fleet_router, "worker_main", _exit_at_start)
+        fleet = ServingFleet(FleetConfig(workers=2, start_method="fork"))
+        begin = time.monotonic()
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            fleet.start(timeout=60.0)
+        assert time.monotonic() - begin < 10.0
+        assert fleet.alive_workers() == []
+
+    def test_crash_looping_worker_respawns_with_backoff(self, monkeypatch):
+        monkeypatch.setattr(fleet_router, "worker_main", _exit_at_start)
+        config = FleetConfig(
+            workers=1, start_method="fork", health_interval_s=0.05
+        )
+        fleet = ServingFleet(config).start(wait=False)
+        try:
+            time.sleep(3.0)
+            restarts = fleet.stats(timeout=1.0).restarts
+        finally:
+            fleet.close()
+        # Delays 0, 0.1, 0.2, 0.4, 0.8, 1.6 s: at most six respawns fit in
+        # the window (without backoff it is one per process lifetime).
+        assert 2 <= restarts <= 6
 
 
 class TestFleetBackpressure:

@@ -588,7 +588,7 @@ class TestFleetTraceStitching:
         assert crossing, "no trace crossed the router/worker boundary"
         names = {span["name"] for span in crossing[0]}
         assert "router.dispatch" in names
-        assert "worker.serve" in names
+        assert "worker.compile" in names
         assert "server.request" in names
         summary = summarize(spans)
         assert summary["orphans"] == 0
