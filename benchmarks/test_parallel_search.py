@@ -1,13 +1,16 @@
-"""Benchmark: sharded parallel search vs the serial engine on a chain sweep.
+"""Benchmark: the factorised pruning cascade vs the per-candidate walk.
 
 A cold compile is dominated by the fusion search, so a serving deployment's
-warmup time is ``sum(search time)`` over its workload suite.  This benchmark
-runs the same multi-GEMM chain sweep through the serial
-:class:`~repro.search.engine.SearchEngine` and the sharded
-:class:`~repro.search.parallel.ParallelSearchEngine` (default worker count —
-inline memoized mode on single-core hosts, a process pool elsewhere) and
-asserts the parallel engine's cold-compile throughput is at least the
-serial engine's while selecting bit-identical plans.
+warmup time is ``sum(search time)`` over its workload suite.  The search
+prunes its space with :meth:`~repro.search.pruning.Pruner.cascade`, which
+evaluates Rules 1-5 as masks over the space's axes instead of walking every
+candidate through the scalar rules (:meth:`Pruner.prune`, the reference).
+This benchmark times both over the same multi-GEMM chain sweep and asserts
+the cascade is at least :data:`MIN_CASCADE_SPEEDUP` times faster — a ratio
+of two pure-Python passes on the same host, so it holds on any host.  It
+also checks that the serial :class:`~repro.search.engine.SearchEngine`, the
+in-process :class:`~repro.search.parallel.ParallelSearchEngine` and its
+process pool select bit-identical plans.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from repro.hardware.spec import h100_spec
 from repro.ir.builders import build_standard_ffn
 from repro.search.engine import SearchEngine
 from repro.search.parallel import ParallelSearchEngine
+from repro.search.pruning import Pruner
 from repro.search.space import SearchSpace
 from repro.sim.engine import PerformanceSimulator
 
@@ -33,11 +37,13 @@ SWEEP = (
     ("W8", 128, 384, 128, 128),
 )
 
+#: Least accepted ratio of reference-walk time to cascade time.
+MIN_CASCADE_SPEEDUP = 5.0
+
 
 def _chains():
     return [
-        build_standard_ffn(name, m=m, n=n, k=k, l=l)[1]
-        for name, m, n, k, l in SWEEP
+        build_standard_ffn(name, m=m, n=n, k=k, l=l)[1] for name, m, n, k, l in SWEEP
     ]
 
 
@@ -45,6 +51,23 @@ def _sweep(engine, chains):
     start = time.perf_counter()
     results = [engine.search(chain) for chain in chains]
     return results, time.perf_counter() - start
+
+
+def _cascade_sweep(device, space, chains):
+    start = time.perf_counter()
+    survivors = []
+    for chain in chains:
+        cascade = Pruner(device).cascade(chain, space.components(chain))
+        survivors.append([candidate for _, candidate in cascade.survivors()])
+    return survivors, time.perf_counter() - start
+
+
+def _walk_sweep(device, space, chains):
+    start = time.perf_counter()
+    survivors = []
+    for chain in chains:
+        survivors.append(list(Pruner(device).prune(space.candidates(chain))))
+    return survivors, time.perf_counter() - start
 
 
 def _assert_identical_selections(serial_results, parallel_results):
@@ -58,11 +81,16 @@ def _assert_identical_selections(serial_results, parallel_results):
         assert serial.candidates_analyzed == parallel.candidates_analyzed
 
 
-def test_parallel_cold_compile_throughput_at_least_serial(benchmark):
+def test_cascade_prunes_sweep_faster_than_reference_walk(benchmark):
     device = h100_spec()
     simulator = PerformanceSimulator(device)
+    space = SearchSpace(device, max_tile=128)
     chains = _chains()
     assert len(chains) >= 8
+
+    cascade_survivors, cascade_s = _cascade_sweep(device, space, chains)
+    walk_survivors, walk_s = _walk_sweep(device, space, chains)
+    assert cascade_survivors == walk_survivors
 
     serial_engine = SearchEngine(
         device,
@@ -70,12 +98,11 @@ def test_parallel_cold_compile_throughput_at_least_serial(benchmark):
         profiler=simulator.profile,
         space=SearchSpace(device, max_tile=128),
     )
-    serial_results, serial_s = _sweep(serial_engine, chains)
-
-    # The gated comparison uses the engine's deterministic single-worker
-    # mode (memoized pruning + batched scoring, no pool): its win over the
-    # serial engine is algorithmic, so the assertion holds on any host,
-    # including one-core CI runners where fork overhead would add noise.
+    # Register with pytest-benchmark so the per-commit bench.json artifact
+    # tracks cold-compile time over time.
+    serial_results, serial_s = benchmark.pedantic(
+        _sweep, args=(serial_engine, chains), rounds=1, iterations=1
+    )
     with ParallelSearchEngine(
         device,
         top_k=5,
@@ -83,16 +110,11 @@ def test_parallel_cold_compile_throughput_at_least_serial(benchmark):
         space=SearchSpace(device, max_tile=128),
         parallelism=1,
     ) as inline_engine:
-        # Register with pytest-benchmark so the per-commit bench.json
-        # artifact tracks cold-compile throughput over time.
-        inline_results, inline_s = benchmark.pedantic(
-            _sweep, args=(inline_engine, chains), rounds=1, iterations=1
-        )
+        inline_results, inline_s = _sweep(inline_engine, chains)
     _assert_identical_selections(serial_results, inline_results)
 
-    # The pooled default (cpu_count workers) is tracked for the artifact and
-    # checked for plan identity, but its wall-clock is host-dependent (fork
-    # cost vs cores) and does not gate CI.
+    # The pooled default (cpu_count workers) is checked for plan identity;
+    # its wall-clock is host-dependent and does not gate.
     with ParallelSearchEngine(
         device,
         top_k=5,
@@ -102,16 +124,16 @@ def test_parallel_cold_compile_throughput_at_least_serial(benchmark):
         pooled_results, pooled_s = _sweep(pooled_engine, chains)
     _assert_identical_selections(serial_results, pooled_results)
 
-    serial_throughput = len(chains) / serial_s
-    parallel_throughput = len(chains) / inline_s
+    speedup = walk_s / cascade_s
+    benchmark.extra_info["cascade_s"] = cascade_s
+    benchmark.extra_info["walk_s"] = walk_s
+    benchmark.extra_info["cascade_speedup"] = speedup
     benchmark.extra_info["serial_s"] = serial_s
     benchmark.extra_info["inline_parallel_s"] = inline_s
     benchmark.extra_info["pooled_parallel_s"] = pooled_s
-    benchmark.extra_info["inline_speedup"] = serial_s / inline_s
     print(
-        f"\ncold-compile sweep: serial {serial_throughput:.2f} chains/s, "
-        f"parallel(inline) {parallel_throughput:.2f} chains/s, "
-        f"parallel(pool) {len(chains) / pooled_s:.2f} chains/s "
-        f"({serial_s:.2f}s -> {inline_s:.2f}s / {pooled_s:.2f}s)"
+        f"\npruning sweep: cascade {cascade_s:.3f}s vs walk {walk_s:.3f}s "
+        f"({speedup:.1f}x); search sweep: serial {serial_s:.2f}s, "
+        f"inline {inline_s:.2f}s, pooled {pooled_s:.2f}s"
     )
-    assert parallel_throughput >= serial_throughput
+    assert speedup >= MIN_CASCADE_SPEEDUP

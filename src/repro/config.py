@@ -87,8 +87,8 @@ class FuserConfig:
         instance, or a directory path from which one is created.
     parallelism:
         Cold-compile fan-out.  ``None`` or ``1`` runs the serial search
-        engine; a larger value shards the candidate space across that many
-        worker processes.  Never part of the cache key — it cannot change
+        engine; a larger value splits the analysis of the pruned candidates
+        across that many worker processes.  Never part of the cache key — it cannot change
         the selected plan.
     transfer:
         Warm-start cold compiles from the nearest previously compiled shape

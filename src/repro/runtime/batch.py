@@ -17,12 +17,11 @@ A note on parallelism: the fusion search in this reproduction is pure
 Python, so under the GIL the thread pool alone overlaps cache/disk I/O but
 does not multiply search throughput across cores.
 :attr:`~repro.config.FuserConfig.parallelism` closes that gap: cold
-compiles are routed through the sharded
+compiles are routed through the
 :class:`~repro.search.parallel.ParallelSearchEngine`, whose worker
-*processes* sidestep the GIL (and whose single-worker mode is itself
-faster than the serial engine thanks to memoized pruning and batched
-scoring).  Warm hits keep resolving through the thread pool — they never
-pay a fork.
+*processes* analyse slices of the pruned candidates and so sidestep the
+GIL.  Warm hits keep resolving through the thread pool — they never pay
+for a worker process.
 """
 
 from __future__ import annotations
@@ -111,7 +110,7 @@ class BatchCompiler:
     overrides:
         Per-request :class:`~repro.config.FuserConfig` overrides applied to
         every job in every batch (e.g. ``{"parallelism": 8}`` to route cold
-        compiles through the sharded process-parallel engine).  Cached and
+        compiles through the process-parallel engine).  Cached and
         deduplicated jobs are unaffected, and compiled plans are identical
         either way — only cold wall-clock changes.
     config:

@@ -1,16 +1,16 @@
 """Fusion search engine (Section IV-C).
 
 The search engine explores loop schedules x cluster geometries x tile sizes,
-prunes the space with Rules 1-5 (:mod:`repro.search.pruning`), ranks the
-survivors with the minimax bandwidth cost model
-(:mod:`repro.search.cost_model`) and profiles the top-K candidates on the
-performance simulator to pick the final plan
+prunes the space with Rules 1-5 (:mod:`repro.search.pruning`, computed as
+masks over the space's axes), ranks the survivors with the minimax
+bandwidth cost model (:mod:`repro.search.cost_model`) and profiles the
+top-K candidates on the performance simulator to pick the final plan
 (:mod:`repro.search.engine`, Algorithm 2).  The unpruned exhaustive search
 used for the Table VIII comparison lives in :mod:`repro.search.brute_force`,
-and the sharded process-parallel engine — same selected plan, cold compiles
-fanned across workers — in :mod:`repro.search.parallel`.  The incremental
-layer — subchain analysis memoization, admissible lower bounds and
-nearest-shape warm-start transfer — lives in
+and the process-parallel engine — same selected plan, the survivors'
+analysis fanned across workers — in :mod:`repro.search.parallel`.  The
+incremental layer — subchain analysis memoization, admissible lower bounds
+and nearest-shape warm-start transfer — lives in
 :mod:`repro.search.incremental`.
 """
 
@@ -25,13 +25,12 @@ from repro.search.incremental import (
     seed_from_plan_dict,
     shape_family_key,
 )
-from repro.search.parallel import AdaptiveShardSizer, ParallelSearchEngine
+from repro.search.parallel import ParallelSearchEngine
 from repro.search.pruning import PruningRule, PruningStats, Pruner
 from repro.search.space import SearchSpace, SpaceComponents, initial_space_size
 from repro.search.brute_force import BruteForceSearch
 
 __all__ = [
-    "AdaptiveShardSizer",
     "CandidateLowerBound",
     "CostBreakdown",
     "CostModel",

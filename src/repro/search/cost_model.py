@@ -115,12 +115,15 @@ class CostModel:
         minimax objective a row-wise maximum.  Every arithmetic operation
         mirrors the scalar path in the same order on the same float64
         values, so the returned costs are bit-identical to calling
-        :meth:`evaluate` per result — the property the parallel search
-        engine relies on to reproduce the serial ranking exactly.
+        :meth:`evaluate` per result — the property that lets the search
+        engines score in batches without changing any ranking.
         """
         count = len(results)
         if count == 0:
             return np.zeros(0, dtype=np.float64)
+        if type(self).evaluate is not CostModel.evaluate:
+            # A subclass that re-prices plans keeps its own scalar verdicts.
+            return np.array([self.evaluate(result) for result in results])
 
         # Column layout: the union of level names charged by the batch.
         names: List[str] = []

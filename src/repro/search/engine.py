@@ -1,10 +1,13 @@
 """Fusion search algorithm (Algorithm 2).
 
-The engine enumerates candidates, prunes them with Rules 1-5, analyses the
-survivors with the dataflow analyzer, ranks them with the minimax cost model
-while maintaining a top-K list, and finally "profiles" the top-K candidates —
-on real hardware this is an on-device measurement; in this reproduction it is
-the cycle-accurate-ish performance simulator (or any callable the caller
+The engine prunes the candidate space with Rules 1-5 (computed once per
+chain as masks over the space's axes, :meth:`Pruner.cascade`), analyses the
+survivors with the dataflow analyzer, scores them with the minimax cost
+model and keeps the top-K (:func:`analyze_and_rank`, the one candidate loop
+that the exact search, its process-parallel shards and the transfer search
+share), and finally "profiles" the top-K candidates — on real hardware this
+is an on-device measurement; in this reproduction it is the
+cycle-accurate-ish performance simulator (or any callable the caller
 provides) — to select the final execution plan.
 """
 
@@ -13,14 +16,14 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dataflow.analyzer import DataflowAnalyzer, DataflowResult
 from repro.hardware.spec import HardwareSpec
 from repro.obs import trace as obs_trace
 from repro.obs.trace import tracer
 from repro.search.cost_model import CostModel
-from repro.search.pruning import Pruner, PruningStats
+from repro.search.pruning import CascadeResult, Pruner, PruningRule, PruningStats
 from repro.search.space import FusionCandidate, SearchSpace
 from repro.ir.graph import GemmChainSpec
 
@@ -183,6 +186,149 @@ class SearchSummary:
         )
 
 
+#: A candidate that passed the pruning cascade, with its enumeration index.
+Survivor = Tuple[int, FusionCandidate]
+#: ``(predicted cost, enumeration index, candidate, analysis)``.
+ScoredPlan = Tuple[float, int, FusionCandidate, DataflowResult]
+
+
+@dataclass
+class RankOutcome:
+    """What :func:`analyze_and_rank` returns."""
+
+    #: The ``keep`` smallest plans by ``(cost, enumeration index)``, sorted.
+    plans: List[ScoredPlan]
+    analyzed: int
+    skipped: int
+    analyze_s: float
+    #: Scoring and top-K selection (including lower bounds, when used).
+    rank_s: float
+
+
+def analyze_and_rank(
+    survivors: Sequence[Survivor],
+    analyzer: DataflowAnalyzer,
+    cost_model: CostModel,
+    keep: int,
+    require_feasible: bool = True,
+    budget: Optional[int] = None,
+    lower_bound: Optional[Callable[[int, FusionCandidate], float]] = None,
+) -> RankOutcome:
+    """Analyze survivors in order and keep the ``keep`` cheapest.
+
+    The candidate loop of every search: the exact engines, their shards and
+    the transfer search.  Survivors are analysed in the given order (at most
+    ``budget`` of them), infeasible ones are dropped, and the rest are
+    scored with :meth:`CostModel.evaluate_batch`.  The top-K is the ``keep``
+    smallest ``(cost, enumeration index)`` pairs, a rule that does not
+    depend on the order of analysis, so shards merge exactly.
+
+    With ``lower_bound`` (called with a survivor's index and candidate),
+    plans are scored one at a time into a running top-K, and a survivor
+    whose admissible bound strictly exceeds the current K-th cost is
+    skipped unanalysed.  Its true cost is at least the bound, so it could
+    not have entered the top-K: the plans are the same, only ``analyzed``
+    shrinks.
+    """
+    start = time.perf_counter()
+    analyze_s = 0.0
+    analyzed = 0
+    skipped = 0
+    feasible: List[Tuple[int, FusionCandidate, DataflowResult]] = []
+    # Max-heap of (-cost, -index, ...): the root is the worst kept plan.
+    heap: List[Tuple[float, int, FusionCandidate, DataflowResult]] = []
+    for index, candidate in survivors:
+        if budget is not None and analyzed >= budget:
+            break
+        if (
+            lower_bound is not None
+            and len(heap) == keep
+            and lower_bound(index, candidate) > -heap[0][0]
+        ):
+            skipped += 1
+            continue
+        analyze_t0 = time.perf_counter()
+        result = analyzer.analyze(
+            candidate.chain,
+            candidate.schedule,
+            candidate.tile,
+            candidate.geometry,
+            gated_sequential=candidate.gated_sequential,
+        )
+        analyze_s += time.perf_counter() - analyze_t0
+        analyzed += 1
+        if require_feasible and not result.feasible:
+            continue
+        if lower_bound is None:
+            feasible.append((index, candidate, result))
+            continue
+        cost = cost_model.evaluate(result)
+        entry = (-cost, -index, candidate, result)
+        if len(heap) < keep:
+            heapq.heappush(heap, entry)
+        elif (cost, index) < (-heap[0][0], -heap[0][1]):
+            heapq.heapreplace(heap, entry)
+
+    if lower_bound is None:
+        costs = cost_model.evaluate_batch([result for _, _, result in feasible])
+        scored = (
+            (cost, index, candidate, result)
+            for cost, (index, candidate, result) in zip(costs.tolist(), feasible)
+        )
+    else:
+        scored = (
+            (-neg_cost, -neg_index, candidate, result)
+            for neg_cost, neg_index, candidate, result in heap
+        )
+    plans = heapq.nsmallest(keep, scored, key=lambda entry: (entry[0], entry[1]))
+    return RankOutcome(
+        plans=plans,
+        analyzed=analyzed,
+        skipped=skipped,
+        analyze_s=analyze_s,
+        rank_s=time.perf_counter() - start - analyze_s,
+    )
+
+
+def profile_top_k(
+    plans: Sequence[ScoredPlan], profiler: Optional[ProfilerFn]
+) -> List[RankedPlan]:
+    """The final top-K of a search, best first.
+
+    Without a profiler the plans keep their cost-model order.  With one,
+    each plan is profiled (an on-device measurement in the paper, the
+    simulator here) and the list is re-ranked by profiled time, ties broken
+    by enumeration index.
+    """
+    ranked = [
+        (RankedPlan(candidate=candidate, result=result, predicted_cost_us=cost), index)
+        for cost, index, candidate, result in plans
+    ]
+    if profiler is not None:
+        for plan, _ in ranked:
+            plan.profiled_time_us = profiler(plan.result)
+        ranked.sort(key=lambda pair: (pair[0].best_known_time_us, pair[1]))
+    return [plan for plan, _ in ranked]
+
+
+def _emit_prune_span(
+    chain: GemmChainSpec, cascade: CascadeResult, prune_s: float
+) -> None:
+    """Trace the cascade: survivors after each rule and each rule's time."""
+    attrs: Dict[str, object] = {"initial": cascade.stats.initial}
+    for rule in PruningRule:
+        attrs[rule.value] = cascade.stats.surviving[rule]
+        attrs[f"{rule.value}_us"] = round(cascade.rule_us[rule], 1)
+    end_us = obs_trace.now_us()
+    tracer().emit(
+        "search.prune",
+        start_us=end_us - prune_s * 1e6,
+        end_us=end_us,
+        chain=chain.name,
+        **attrs,
+    )
+
+
 class SearchEngine:
     """FlashFuser's fusion search engine.
 
@@ -204,6 +350,9 @@ class SearchEngine:
     require_feasible:
         Drop candidates whose persistent intermediate spills to global
         memory (the definition of a fusion failure).
+    max_candidates:
+        Analysis budget: only the first survivors in enumeration order are
+        analysed.  The pruning counts still cover the whole space.
     incremental:
         Memoize the kind-independent core of every candidate analysis in a
         :class:`~repro.search.incremental.SubchainAnalysisCache`, so a
@@ -307,93 +456,19 @@ class SearchEngine:
                     }
                 return transferred
         start = time.perf_counter()
-        analyze_s = 0.0
-        rank_s = 0.0
-        profile_s = 0.0
         pruner = Pruner(self.device, include_dsm=self.include_dsm)
+        cascade = pruner.cascade(chain, self.space.components(chain))
+        survivors = cascade.survivors()
+        prune_s = time.perf_counter() - start
+        if obs_trace.enabled():
+            _emit_prune_span(chain, cascade, prune_s)
 
-        enumerated = 0
-        analyzed = 0
-        skipped = 0
-        # Max-heap by (cost, analysis order): entries are (-cost, -counter),
-        # so the root is the worst of the current top-K and, among tied
-        # costs, the *latest* analysed — evicting it first keeps the top-K
-        # membership exactly "the K lexicographically smallest (cost, order)
-        # pairs", a fully deterministic rule the sharded parallel engine's
-        # merge reproduces independently of shard boundaries.
-        heap: List[Tuple[float, int, RankedPlan]] = []
-        counter = 0
+        outcome = self._analyze_and_rank(chain, survivors)
+        profile_t0 = time.perf_counter()
+        top_k = profile_top_k(outcome.plans, self.profiler)
+        profile_s = time.perf_counter() - profile_t0
 
-        candidates = self.space.candidates(chain)
-        for candidate in pruner.prune(candidates):
-            enumerated += 1
-            if self.max_candidates is not None and analyzed >= self.max_candidates:
-                # The analysis budget is exhausted; draining the rest of the
-                # pruned stream would only burn time without adding plans.
-                break
-            if (
-                self.lower_bound_prune
-                and len(heap) == self.top_k
-                and self.bounds.lower_bound(chain, candidate) > -heap[0][0]
-            ):
-                # The admissible bound already exceeds the K-th best cost:
-                # this candidate can neither enter the top-K nor change its
-                # order, so analysing it would be pure waste.
-                skipped += 1
-                continue
-            analyze_t0 = time.perf_counter()
-            result = self.analyzer.analyze(
-                chain,
-                candidate.schedule,
-                candidate.tile,
-                candidate.geometry,
-                gated_sequential=candidate.gated_sequential,
-            )
-            analyze_s += time.perf_counter() - analyze_t0
-            analyzed += 1
-            if self.require_feasible and not result.feasible:
-                continue
-            cost = self.cost_model.evaluate(result)
-            plan = RankedPlan(
-                candidate=candidate, result=result, predicted_cost_us=cost
-            )
-            counter += 1
-            if len(heap) < self.top_k:
-                heapq.heappush(heap, (-cost, -counter, plan))
-            elif -heap[0][0] > cost:
-                heapq.heapreplace(heap, (-cost, -counter, plan))
-
-        # Rank by cost with analysis order as the tie-break, so the top-K
-        # ordering is fully deterministic (and reproducible by the sharded
-        # parallel engine, whose merge uses the same enumeration-order key).
-        rank_t0 = time.perf_counter()
-        ranked = sorted(
-            ((entry[2], -entry[1]) for entry in heap),
-            key=lambda pair: (pair[0].predicted_cost_us, pair[1]),
-        )
-        rank_s += time.perf_counter() - rank_t0
-
-        # Final profiling of the top-K candidates (on-device measurement in
-        # the paper, simulator here).
-        if self.profiler is not None:
-            profile_t0 = time.perf_counter()
-            for plan, _ in ranked:
-                plan.profiled_time_us = self.profiler(plan.result)
-            ranked.sort(key=lambda pair: (pair[0].best_known_time_us, pair[1]))
-            profile_s = time.perf_counter() - profile_t0
-        top_k = [plan for plan, _ in ranked]
-
-        best = top_k[0] if top_k else None
         elapsed = time.perf_counter() - start
-        phase_times_us = {
-            "enumerate_prune": max(
-                0.0, elapsed - analyze_s - rank_s - profile_s
-            )
-            * 1e6,
-            "analyze": analyze_s * 1e6,
-            "rank": rank_s * 1e6,
-            "profile": profile_s * 1e6,
-        }
         if obs_trace.enabled():
             end_us = obs_trace.now_us()
             tracer().emit(
@@ -401,21 +476,40 @@ class SearchEngine:
                 start_us=end_us - elapsed * 1e6,
                 end_us=end_us,
                 chain=chain.name,
-                analyzed=analyzed,
-                skipped=skipped,
+                analyzed=outcome.analyzed,
+                skipped=outcome.skipped,
             )
-        stats = pruner.stats
-        stats.initial = max(stats.initial, enumerated)
         return SearchResult(
             chain=chain,
-            best=best,
+            best=top_k[0] if top_k else None,
             top_k=top_k,
-            pruning_stats=stats,
-            candidates_enumerated=stats.initial,
-            candidates_analyzed=analyzed,
+            pruning_stats=cascade.stats,
+            candidates_enumerated=cascade.stats.initial,
+            candidates_analyzed=outcome.analyzed,
             search_time_s=elapsed,
-            candidates_skipped=skipped,
-            phase_times_us=phase_times_us,
+            candidates_skipped=outcome.skipped,
+            phase_times_us={
+                "enumerate_prune": prune_s * 1e6,
+                "analyze": outcome.analyze_s * 1e6,
+                "rank": outcome.rank_s * 1e6,
+                "profile": profile_s * 1e6,
+            },
+        )
+
+    def _analyze_and_rank(
+        self, chain: GemmChainSpec, survivors: Sequence[Survivor]
+    ) -> RankOutcome:
+        """Analyze and rank the cascade's survivors (sharded by subclasses)."""
+        return analyze_and_rank(
+            survivors,
+            self.analyzer,
+            self.cost_model,
+            keep=self.top_k,
+            require_feasible=self.require_feasible,
+            budget=self.max_candidates,
+            lower_bound=(
+                self.bounds.for_chain(chain) if self.lower_bound_prune else None
+            ),
         )
 
     def _transfer_search(self, chain: GemmChainSpec, seed) -> Optional[SearchResult]:

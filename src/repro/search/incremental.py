@@ -30,11 +30,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace as _dataclass_replace
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.analysis.locks import make_lock
 from repro.dataflow.analyzer import DataflowAnalyzer, SubchainAnalysis
@@ -48,7 +47,7 @@ from repro.ir.ops import ActivationKind
 from repro.obs.logging import get_logger, log_event
 from repro.search.cost_model import CostModel
 from repro.search.pruning import Pruner, PruningStats
-from repro.search.space import FusionCandidate, SearchSpace
+from repro.search.space import FusionCandidate, SearchSpace, SpaceComponents
 
 _logger = get_logger(__name__)
 
@@ -189,6 +188,16 @@ class CandidateLowerBound:
         volume = input_traffic + float(tensor_size_bytes("E", chain))
         memory_us = volume / (self.device.global_bandwidth_gbps * 1e3)
         return max(memory_us, self._compute_us(chain, candidate))
+
+    def for_chain(
+        self, chain: GemmChainSpec
+    ) -> Callable[[int, FusionCandidate], float]:
+        """:meth:`lower_bound` for ``chain``, as the search kernel takes it.
+
+        :func:`~repro.search.engine.analyze_and_rank` calls the bound with a
+        survivor's enumeration index and its candidate.
+        """
+        return lambda _index, candidate: self.lower_bound(chain, candidate)
 
     def chain_lower_bound(self, chain: GemmChainSpec) -> float:
         """A cost no candidate of ``chain`` can beat."""
@@ -353,10 +362,11 @@ class TransferSearch:
     The neighborhood fixes the seed's loop schedule and explores tiles and
     geometries whose per-dimension extents are within a factor of two of
     the seed's, across all gated modes — a few hundred candidates instead
-    of the full cross product.  Candidates run through the same pruning
-    cascade, analyzer and cost model as the full search, best-first in
-    ``(lower bound, enumeration index)`` order so the neighborhood top-K
-    is exact while most of it is skipped.
+    of the full cross product.  The neighborhood is a one-schedule
+    :class:`~repro.search.space.SpaceComponents`, so it runs through the
+    same pruning cascade and analyze → rank kernel as the full search,
+    best-first in ``(lower bound, enumeration index)`` order so the
+    neighborhood top-K is exact while most of it is skipped.
 
     The result is accepted only when the neighborhood's cheapest predicted
     cost stays within ``transfer_bound`` times the chain's absolute lower
@@ -400,43 +410,30 @@ class TransferSearch:
     def _near(value: int, seed_value: int) -> bool:
         return seed_value // 2 <= value <= seed_value * 2
 
-    def neighborhood(
-        self, chain: GemmChainSpec, seed: TransferSeed
-    ) -> List[FusionCandidate]:
-        """Seed-local candidates, in deterministic enumeration order."""
+    def neighborhood(self, chain: GemmChainSpec, seed: TransferSeed) -> SpaceComponents:
+        """The seed-local slice of the chain's space (empty when foreign)."""
         components = self.space.components(chain)
-        if seed.schedule not in components.schedules:
-            return []
-        tiles = [
-            tile
-            for tile in components.tiles
-            if all(
-                self._near(tile.block_of(dim), seed.tile.block_of(dim))
-                for dim in ("m", "n", "k", "l")
-            )
-        ]
-        geometries = [
-            geometry
-            for geometry in components.geometries
-            if all(
-                self._near(geometry.size_of(dim), seed.geometry.size_of(dim))
-                for dim in ("m", "n", "k", "l")
-            )
-        ]
-        candidates: List[FusionCandidate] = []
-        for geometry in geometries:
-            for tile in tiles:
-                for gated_sequential in components.gated_modes:
-                    candidates.append(
-                        FusionCandidate(
-                            chain=chain,
-                            schedule=seed.schedule,
-                            tile=tile,
-                            geometry=geometry,
-                            gated_sequential=gated_sequential,
-                        )
-                    )
-        return candidates
+        schedules = [seed.schedule] if seed.schedule in components.schedules else []
+        return SpaceComponents(
+            schedules=schedules,
+            geometries=[
+                geometry
+                for geometry in components.geometries
+                if all(
+                    self._near(geometry.size_of(dim), seed.geometry.size_of(dim))
+                    for dim in ("m", "n", "k", "l")
+                )
+            ],
+            tiles=[
+                tile
+                for tile in components.tiles
+                if all(
+                    self._near(tile.block_of(dim), seed.tile.block_of(dim))
+                    for dim in ("m", "n", "k", "l")
+                )
+            ],
+            gated_modes=components.gated_modes,
+        )
 
     # ------------------------------------------------------------------ #
     # Search
@@ -448,68 +445,31 @@ class TransferSearch:
         ``mode="transfer"`` when the neighborhood's best plan passes the
         acceptance bound.
         """
-        from repro.search.engine import RankedPlan, SearchResult
+        from repro.search.engine import SearchResult, analyze_and_rank, profile_top_k
 
         start = time.perf_counter()
-        candidates = self.neighborhood(chain, seed)
-        if not candidates:
+        components = self.neighborhood(chain, seed)
+        if components.size == 0:
             return None
         pruner = Pruner(self.device, include_dsm=self.include_dsm)
-        survivors = [
-            (index, candidate)
-            for index, candidate in enumerate(candidates)
-            if pruner.passes(candidate)
-        ]
-        ordered = sorted(
-            (
-                (self.bounds.lower_bound(chain, candidate), index, candidate)
-                for index, candidate in survivors
-            ),
-            key=lambda entry: (entry[0], entry[1]),
+        survivors = pruner.cascade(chain, components).survivors()
+        bounds = {
+            index: self.bounds.lower_bound(chain, candidate)
+            for index, candidate in survivors
+        }
+        # Best-first: once one survivor's bound exceeds the K-th best cost,
+        # every later one's does too, so the rest are skipped unanalysed.
+        outcome = analyze_and_rank(
+            sorted(survivors, key=lambda pair: (bounds[pair[0]], pair[0])),
+            self.analyzer,
+            self.cost_model,
+            keep=self.top_k,
+            require_feasible=self.require_feasible,
+            lower_bound=lambda index, _candidate: bounds[index],
         )
-
-        analyzed = 0
-        skipped = 0
-        ranked: List[Tuple[float, int, "RankedPlan"]] = []
-        worst_cost = math.inf
-        for lower_bound, index, candidate in ordered:
-            if len(ranked) >= self.top_k and lower_bound > worst_cost:
-                # Bounds are sorted ascending: every remaining candidate
-                # costs strictly more than the current K-th best, so the
-                # neighborhood top-K is complete.
-                skipped = len(ordered) - analyzed
-                break
-            result = self.analyzer.analyze(
-                chain,
-                candidate.schedule,
-                candidate.tile,
-                candidate.geometry,
-                gated_sequential=candidate.gated_sequential,
-            )
-            analyzed += 1
-            if self.require_feasible and not result.feasible:
-                continue
-            cost = self.cost_model.evaluate(result)
-            plan = RankedPlan(
-                candidate=candidate, result=result, predicted_cost_us=cost
-            )
-            ranked.append((cost, index, plan))
-            if len(ranked) >= self.top_k:
-                ranked.sort(key=lambda entry: (entry[0], entry[1]))
-                ranked = ranked[: self.top_k]
-                worst_cost = ranked[-1][0]
-        ranked.sort(key=lambda entry: (entry[0], entry[1]))
-        ranked = ranked[: self.top_k]
-        if not ranked:
+        if not outcome.plans:
             return None
-
-        plans = [(plan, index) for _, index, plan in ranked]
-        if self.profiler is not None:
-            for plan, _ in plans:
-                plan.profiled_time_us = self.profiler(plan.result)
-            plans.sort(key=lambda pair: (pair[0].best_known_time_us, pair[1]))
-        top_k = [plan for plan, _ in plans]
-        best = top_k[0]
+        top_k = profile_top_k(outcome.plans, self.profiler)
 
         # Acceptance: the cost model must certify that the neighborhood
         # holds a plan provably close to optimal — its cheapest predicted
@@ -531,15 +491,15 @@ class TransferSearch:
             return None
 
         elapsed = time.perf_counter() - start
-        stats = PruningStats(initial=len(candidates), surviving={})
+        stats = PruningStats(initial=components.size, surviving={})
         return SearchResult(
             chain=chain,
-            best=best,
+            best=top_k[0],
             top_k=top_k,
             pruning_stats=stats,
-            candidates_enumerated=len(candidates),
-            candidates_analyzed=analyzed,
+            candidates_enumerated=components.size,
+            candidates_analyzed=outcome.analyzed,
             search_time_s=elapsed,
             mode="transfer",
-            candidates_skipped=skipped,
+            candidates_skipped=outcome.skipped,
         )

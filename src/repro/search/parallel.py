@@ -1,528 +1,90 @@
-"""Parallel sharded fusion search (Algorithm 2, fanned across processes).
+"""Process-parallel fusion search (Algorithm 2, analysis fanned across workers).
 
-The serial :class:`~repro.search.engine.SearchEngine` walks the candidate
-space in one Python loop — the compile-time hot path a cold compile pays in
-full.  This module shards that walk: the enumeration index range is split
-into chunks, each chunk is searched independently (prune → analyze →
-batched cost-model rank, keeping only a local top-K), and the per-shard
-top-K lists are merged into the global top-K, which is then profiled once
-in the parent.  Because every candidate carries its global enumeration
-index and the batched scorer is bit-identical to the scalar one, the merge
-reproduces the serial ranking exactly — the selected plan is guaranteed to
-be the same plan the serial engine picks.
+:class:`ParallelSearchEngine` is the serial
+:class:`~repro.search.engine.SearchEngine` with one step replaced: after the
+pruning cascade, the survivor list is cut into ``parallelism`` equal slices
+and each slice runs the engine's analyze → batch-score → top-K kernel
+(:func:`~repro.search.engine.analyze_and_rank`) in a worker process.  The
+cascade gives the exact survivor count before any analysis starts, and
+analysis dominates a search, so equal slices are equal work.  Each worker
+returns its ``top_k`` smallest ``(cost, enumeration index)`` plans; that rule
+does not depend on how the survivors were split, so the merged top-K, the
+selected plan and every count equal the serial engine's.
 
-Two mechanisms make the sharding efficient:
-
-* **Per-shard memoization.**  Pruning Rules 1-4 depend on strict subsets of
-  the (schedule, geometry, tile) triple, so a shard evaluates each rule
-  once per distinct key instead of once per candidate, and candidate
-  objects are only constructed for survivors.  Rule outcomes are identical
-  to the serial cascade, so the per-rule survivor counts (Table III) merge
-  additively.
-* **Adaptive shard sizing.**  Prune rates vary wildly across the space
-  (schedule-major regions prune at very different rates), so static chunks
-  load-balance poorly.  :class:`AdaptiveShardSizer` re-targets the chunk
-  size from observed per-shard prune rates — a work-stealing-style dynamic
-  rebalancing in the spirit of hp-adaptive load balancing — keeping the
-  *analysis* work per shard roughly constant.  Shard boundaries affect only
-  wall-clock, never the selected plan.
-
-With a single worker the engine skips the process pool entirely and runs
-the same memoized, batch-scored shard loop inline, which is itself faster
-than the serial engine — so ``parallelism=1`` is a sound default on
-single-core hosts.
+With ``parallelism <= 1``, or when the survivors are too few to be worth a
+round trip, the engine *is* the serial engine: it runs the same kernel
+in-process.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
+import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from concurrent.futures import Executor, ProcessPoolExecutor
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
-from repro.dataflow.analyzer import DataflowAnalyzer, DataflowResult
+from repro.dataflow.analyzer import DataflowAnalyzer
 from repro.hardware.spec import HardwareSpec
 from repro.ir.graph import GemmChainSpec
-from repro.obs.trace import tracer
 from repro.search.cost_model import CostModel
-from repro.search.engine import ProfilerFn, RankedPlan, SearchEngine, SearchResult
-from repro.search.incremental import (
-    CandidateLowerBound,
-    SubchainAnalysisCache,
-    TransferSearch,
-    TransferSeed,
+from repro.search.engine import (
+    ProfilerFn,
+    RankOutcome,
+    SearchEngine,
+    Survivor,
+    analyze_and_rank,
 )
-from repro.search.pruning import Pruner, PruningRule, PruningStats
-from repro.search.space import FusionCandidate, SearchSpace
-
-
-@dataclass(frozen=True)
-class SpaceConfig:
-    """Picklable recipe for rebuilding a :class:`SearchSpace` in a worker."""
-
-    max_tile: int
-    powers_of_two_only: bool
-    include_clusters: bool
-    min_tile: int
-    prevalidate_geometries: bool
-
-    @classmethod
-    def from_space(cls, space: SearchSpace) -> "SpaceConfig":
-        """Capture the construction parameters of an existing space."""
-        return cls(
-            max_tile=space.max_tile,
-            powers_of_two_only=space.powers_of_two_only,
-            include_clusters=space.include_clusters,
-            min_tile=space.min_tile,
-            prevalidate_geometries=space.prevalidate_geometries,
-        )
-
-    def build(self, device: HardwareSpec) -> SearchSpace:
-        """Instantiate the space against a device."""
-        return SearchSpace(
-            device,
-            max_tile=self.max_tile,
-            powers_of_two_only=self.powers_of_two_only,
-            include_clusters=self.include_clusters,
-            min_tile=self.min_tile,
-            prevalidate_geometries=self.prevalidate_geometries,
-        )
+from repro.search.incremental import CandidateLowerBound, SubchainAnalysisCache
+from repro.search.space import SearchSpace
 
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One chunk of the candidate space, self-contained and picklable.
-
-    Workers reconstruct the enumeration from ``(chain, start, stop)`` via
-    :meth:`SearchSpace.candidates_range` semantics instead of receiving
-    pickled candidates, so task payloads stay ~1 KB regardless of chunk
-    size.
-    """
+    """One slice of a chain's survivor list, self-contained and picklable."""
 
     device: HardwareSpec
-    chain: GemmChainSpec
-    space: SpaceConfig
     include_dsm: bool
-    require_feasible: bool
+    incremental: bool
+    cost_model: CostModel
     keep: int
-    compute_efficiency: float
-    start: int
-    stop: int
-    #: Memoize kind-independent analysis cores within the worker process.
-    incremental: bool = True
-    #: Skip analyses whose admissible lower bound exceeds the shard-local
-    #: top-K threshold (plan-identical; only ``analyzed`` shrinks).
-    lower_bound_prune: bool = False
-
-    def context_key(self) -> str:
-        """Identity of the per-process search context this task can reuse."""
-        return json.dumps(
-            [
-                self.device.fingerprint(),
-                self.chain.canonical_hash(),
-                [
-                    self.space.max_tile,
-                    self.space.powers_of_two_only,
-                    self.space.include_clusters,
-                    self.space.min_tile,
-                    self.space.prevalidate_geometries,
-                ],
-                self.include_dsm,
-                self.compute_efficiency,
-                self.incremental,
-                self.lower_bound_prune,
-            ],
-            sort_keys=True,
-            default=str,
-        )
+    require_feasible: bool
+    lower_bound_prune: bool
+    survivors: Sequence[Survivor]
 
 
-@dataclass
-class ShardOutcome:
-    """What one shard sends back: local top-K plus merge-ready statistics."""
-
-    start: int
-    stop: int
-    enumerated: int
-    analyzed: int
-    rule_counts: Dict[PruningRule, int]
-    #: ``(predicted_cost_us, global_index, candidate, analysis)`` tuples,
-    #: at most ``keep`` of them, sorted by ``(cost, index)``.
-    plans: List[Tuple[float, int, FusionCandidate, DataflowResult]]
-    elapsed_s: float = 0.0
-    #: Candidates skipped by the admissible lower bound (0 unless the task
-    #: enables ``lower_bound_prune``).
-    skipped: int = 0
-
-    @property
-    def survival_rate(self) -> float:
-        """Fraction of enumerated candidates that reached analysis."""
-        if self.enumerated <= 0:
-            return 0.0
-        return self.analyzed / self.enumerated
-
-
-class _ShardContext:
-    """Per-process state reused across the shards of one logical search.
-
-    Workers are long-lived: the first shard of a search builds the component
-    lists, analyzer and memo tables; subsequent shards of the same search
-    (same :meth:`ShardTask.context_key`) reuse them, so rule memoization
-    compounds across chunks.
-    """
-
-    def __init__(self, task: ShardTask) -> None:
-        self.device = task.device
-        self.chain = task.chain
-        space = task.space.build(self.device)
-        self.components = space.components(self.chain)
-        self.analysis_cache = (
-            SubchainAnalysisCache(
-                context=json.dumps(
-                    self.device.fingerprint(), sort_keys=True, default=str
-                )
-            )
-            if task.incremental
-            else None
-        )
-        self.analyzer = DataflowAnalyzer(
-            self.device,
-            include_dsm=task.include_dsm,
-            analysis_cache=self.analysis_cache,
-        )
-        self.cost_model = CostModel(
-            self.device, compute_efficiency=task.compute_efficiency
-        )
-        self.bounds = CandidateLowerBound(self.device, self.cost_model)
-        self.pruner = Pruner(self.device, include_dsm=task.include_dsm)
-        self._rule1: Dict[Tuple[int, int], bool] = {}
-        self._rule2: Dict[int, bool] = {}
-        self._rule3: Dict[Tuple[int, int, int], bool] = {}
-        self._rule4: Dict[Tuple[int, int, int, int], bool] = {}
-        self._rule5: Dict[Tuple[int, int, int], bool] = {}
-
-    def _probe(
-        self, schedule_index: int, geometry_index: int, tile_index: int
-    ) -> FusionCandidate:
-        """A candidate object for rule evaluation (gated mode irrelevant)."""
-        return FusionCandidate(
-            chain=self.chain,
-            schedule=self.components.schedules[schedule_index],
-            tile=self.components.tiles[tile_index],
-            geometry=self.components.geometries[geometry_index],
-        )
-
-    # The memo keys are exactly the rule inputs: Rules 1-2 ignore the loop
-    # schedule, Rule 3 reads only (schedule, block_k, cls_k), Rule 4 only
-    # (schedule, block_n, block_l, cls_l); no rule reads the gated mode.
-    def rule1(self, schedule_index: int, geometry_index: int, tile_index: int) -> bool:
-        key = (tile_index, geometry_index)
-        verdict = self._rule1.get(key)
-        if verdict is None:
-            verdict = self.pruner.rule1_divisible_tiles(
-                self._probe(schedule_index, geometry_index, tile_index)
-            )
-            self._rule1[key] = verdict
-        return verdict
-
-    def rule2(self, schedule_index: int, geometry_index: int, tile_index: int) -> bool:
-        verdict = self._rule2.get(geometry_index)
-        if verdict is None:
-            verdict = self.pruner.rule2_cluster_size(
-                self._probe(schedule_index, geometry_index, tile_index)
-            )
-            self._rule2[geometry_index] = verdict
-        return verdict
-
-    def rule3(self, schedule_index: int, geometry_index: int, tile_index: int) -> bool:
-        tile = self.components.tiles[tile_index]
-        geometry = self.components.geometries[geometry_index]
-        key = (schedule_index, tile.block_k, geometry.cls_k)
-        verdict = self._rule3.get(key)
-        if verdict is None:
-            verdict = self.pruner.rule3_activation(
-                self._probe(schedule_index, geometry_index, tile_index)
-            )
-            self._rule3[key] = verdict
-        return verdict
-
-    def rule4(self, schedule_index: int, geometry_index: int, tile_index: int) -> bool:
-        tile = self.components.tiles[tile_index]
-        geometry = self.components.geometries[geometry_index]
-        key = (schedule_index, tile.block_n, tile.block_l, geometry.cls_l)
-        verdict = self._rule4.get(key)
-        if verdict is None:
-            verdict = self.pruner.rule4_dependency(
-                self._probe(schedule_index, geometry_index, tile_index)
-            )
-            self._rule4[key] = verdict
-        return verdict
-
-    def rule5(self, schedule_index: int, geometry_index: int, tile_index: int) -> bool:
-        key = (schedule_index, tile_index, geometry_index)
-        verdict = self._rule5.get(key)
-        if verdict is None:
-            verdict = self.pruner.rule5_memory_capacity(
-                self._probe(schedule_index, geometry_index, tile_index)
-            )
-            self._rule5[key] = verdict
-        return verdict
-
-
-#: Per-process context cache; at most one live search context per key.
-_WORKER_CONTEXTS: Dict[str, _ShardContext] = {}
-
-
-def _context_for(task: ShardTask) -> _ShardContext:
-    """Fetch or build the per-process context for ``task``."""
-    key = task.context_key()
-    context = _WORKER_CONTEXTS.get(key)
-    if context is not None and context.chain != task.chain:
-        # The canonical hash ignores presentation fields like the chain
-        # name; candidates must carry the exact chain object searched, so
-        # any difference invalidates the cached context.
-        context = None
-    if context is None:
-        # Keep a single context per worker: searches over different chains
-        # should not accumulate unbounded analyzer state.
-        _WORKER_CONTEXTS.clear()
-        context = _ShardContext(task)
-        _WORKER_CONTEXTS[key] = context
-    return context
-
-
-def _search_shard(task: ShardTask) -> ShardOutcome:
-    """Search one chunk: enumerate → prune (memoized) → analyze → rank.
-
-    Module-level so :class:`~concurrent.futures.ProcessPoolExecutor` can
-    pickle it; also called inline by the single-worker fast path.
-    """
-    started = time.perf_counter()
-    context = _context_for(task)
+def _rank_shard(task: ShardTask) -> RankOutcome:
+    """Run the analyze → rank kernel on one slice (in a worker process)."""
+    analyzer = DataflowAnalyzer(
+        task.device,
+        include_dsm=task.include_dsm,
+        analysis_cache=SubchainAnalysisCache() if task.incremental else None,
+    )
+    lower_bound = None
     if task.lower_bound_prune:
-        return _search_shard_bounded(task, context, started)
-    components = context.components
-    decompose = components.decompose
-
-    counts = {rule: 0 for rule in PruningRule}
-    rules = (context.rule1, context.rule2, context.rule3, context.rule4, context.rule5)
-    rule_ids = tuple(PruningRule)
-
-    indices: List[int] = []
-    candidates: List[FusionCandidate] = []
-    analyses: List[DataflowResult] = []
-    analyzed = 0
-    for index in range(task.start, task.stop):
-        schedule_index, geometry_index, tile_index, gated_index = decompose(index)
-
-        # The serial cascade short-circuits at the first failing rule and
-        # counts survivors per rule; the memoized cascade replicates both.
-        alive = True
-        for rule_id, rule in zip(rule_ids, rules):
-            if not rule(schedule_index, geometry_index, tile_index):
-                alive = False
-                break
-            counts[rule_id] += 1
-        if not alive:
-            continue
-
-        candidate = FusionCandidate(
-            chain=context.chain,
-            schedule=components.schedules[schedule_index],
-            tile=components.tiles[tile_index],
-            geometry=components.geometries[geometry_index],
-            gated_sequential=components.gated_modes[gated_index],
-        )
-        result = context.analyzer.analyze(
-            candidate.chain,
-            candidate.schedule,
-            candidate.tile,
-            candidate.geometry,
-            gated_sequential=candidate.gated_sequential,
-        )
-        analyzed += 1
-        if task.require_feasible and not result.feasible:
-            continue
-        indices.append(index)
-        candidates.append(candidate)
-        analyses.append(result)
-
-    costs = context.cost_model.evaluate_batch(analyses)
-    plans = heapq.nsmallest(
-        task.keep,
-        (
-            (float(cost), index, candidate, result)
-            for cost, index, candidate, result in zip(
-                costs, indices, candidates, analyses
-            )
-        ),
-        key=lambda entry: (entry[0], entry[1]),
-    )
-    return ShardOutcome(
-        start=task.start,
-        stop=task.stop,
-        enumerated=task.stop - task.start,
-        analyzed=analyzed,
-        rule_counts=counts,
-        plans=plans,
-        elapsed_s=time.perf_counter() - started,
+        bounds = CandidateLowerBound(task.device, task.cost_model)
+        lower_bound = bounds.for_chain(task.survivors[0][1].chain)
+    return analyze_and_rank(
+        task.survivors,
+        analyzer,
+        task.cost_model,
+        keep=task.keep,
+        require_feasible=task.require_feasible,
+        lower_bound=lower_bound,
     )
 
 
-def _search_shard_bounded(
-    task: ShardTask, context: _ShardContext, started: float
-) -> ShardOutcome:
-    """Shard search with admissible lower-bound skipping.
+class ParallelSearchEngine(SearchEngine):
+    """Process-parallel drop-in for :class:`SearchEngine`.
 
-    Scores candidates one at a time (the scalar scorer is bit-identical to
-    the batched one) while maintaining the shard-local top-``keep`` heap,
-    so a candidate whose lower bound strictly exceeds the current K-th
-    smallest cost is never analysed.  A skipped candidate's true cost is at
-    least its bound, hence strictly above the heap's worst entry — and a
-    later enumeration index loses cost ties anyway — so the returned plans
-    are exactly the ``keep`` smallest ``(cost, index)`` pairs of the chunk,
-    identical to the default path's; only ``analyzed`` shrinks.
-    """
-    components = context.components
-    decompose = components.decompose
-
-    counts = {rule: 0 for rule in PruningRule}
-    rules = (context.rule1, context.rule2, context.rule3, context.rule4, context.rule5)
-    rule_ids = tuple(PruningRule)
-
-    # Max-heap of (-cost, -index, candidate, result): the root is the worst
-    # (cost, index) of the current shard-local top-K.  Indices are unique,
-    # so tuple comparison never reaches the (unorderable) candidate.
-    heap: List[Tuple[float, int, FusionCandidate, DataflowResult]] = []
-    analyzed = 0
-    skipped = 0
-    for index in range(task.start, task.stop):
-        schedule_index, geometry_index, tile_index, gated_index = decompose(index)
-
-        alive = True
-        for rule_id, rule in zip(rule_ids, rules):
-            if not rule(schedule_index, geometry_index, tile_index):
-                alive = False
-                break
-            counts[rule_id] += 1
-        if not alive:
-            continue
-
-        candidate = FusionCandidate(
-            chain=context.chain,
-            schedule=components.schedules[schedule_index],
-            tile=components.tiles[tile_index],
-            geometry=components.geometries[geometry_index],
-            gated_sequential=components.gated_modes[gated_index],
-        )
-        if (
-            len(heap) == task.keep
-            and context.bounds.lower_bound(task.chain, candidate) > -heap[0][0]
-        ):
-            skipped += 1
-            continue
-        result = context.analyzer.analyze(
-            candidate.chain,
-            candidate.schedule,
-            candidate.tile,
-            candidate.geometry,
-            gated_sequential=candidate.gated_sequential,
-        )
-        analyzed += 1
-        if task.require_feasible and not result.feasible:
-            continue
-        cost = context.cost_model.evaluate(result)
-        if len(heap) < task.keep:
-            heapq.heappush(heap, (-cost, -index, candidate, result))
-        elif -heap[0][0] > cost:
-            heapq.heapreplace(heap, (-cost, -index, candidate, result))
-
-    plans = sorted(
-        (
-            (-neg_cost, -neg_index, candidate, result)
-            for neg_cost, neg_index, candidate, result in heap
-        ),
-        key=lambda entry: (entry[0], entry[1]),
-    )
-    return ShardOutcome(
-        start=task.start,
-        stop=task.stop,
-        enumerated=task.stop - task.start,
-        analyzed=analyzed,
-        rule_counts=counts,
-        plans=plans,
-        elapsed_s=time.perf_counter() - started,
-        skipped=skipped,
-    )
-
-
-@dataclass
-class AdaptiveShardSizer:
-    """Rebalance chunk sizes from observed per-shard prune rates.
-
-    Analysis, not enumeration, dominates shard cost, and the fraction of a
-    chunk surviving the pruning cascade varies by orders of magnitude across
-    schedule-major regions of the space.  The sizer tracks an exponential
-    moving average of the survival rate and sizes the next chunk so its
-    *expected analysis work* stays near ``target_analyzed`` — sparse regions
-    get large chunks, dense regions small ones.  Chunk boundaries never
-    change the selected plan (the global merge is order-independent), so the
-    feedback loop is free to react to completion order.
-    """
-
-    target_analyzed: int = 768
-    initial_chunk: int = 8192
-    min_chunk: int = 1024
-    max_chunk: int = 131072
-    smoothing: float = 0.5
-    _survival_rate: Optional[float] = field(default=None, init=False, repr=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.target_analyzed < 1:
-            raise ValueError("target_analyzed must be >= 1")
-        if not 0 < self.min_chunk <= self.initial_chunk <= self.max_chunk:
-            raise ValueError("require 0 < min_chunk <= initial_chunk <= max_chunk")
-        if not 0.0 < self.smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
-
-    def next_chunk_size(self) -> int:
-        """Chunk size for the next shard submission."""
-        with self._lock:
-            rate = self._survival_rate
-        if rate is None:
-            return self.initial_chunk
-        size = int(self.target_analyzed / max(rate, 1e-4))
-        return max(self.min_chunk, min(self.max_chunk, size))
-
-    def observe(self, enumerated: int, analyzed: int) -> None:
-        """Fold one shard's observed prune rate into the estimate."""
-        if enumerated <= 0:
-            return
-        rate = analyzed / enumerated
-        with self._lock:
-            if self._survival_rate is None:
-                self._survival_rate = rate
-            else:
-                self._survival_rate = (
-                    self.smoothing * rate
-                    + (1.0 - self.smoothing) * self._survival_rate
-                )
-
-
-class ParallelSearchEngine:
-    """Sharded, process-parallel drop-in for :class:`SearchEngine`.
-
-    Exposes the same ``search(chain) -> SearchResult`` contract and — by
-    construction — returns the identical best plan, top-K ordering, per-rule
-    pruning statistics and candidate counts.  Wall-clock is the only thing
-    sharding changes.
+    Returns the identical best plan, top-K ordering, per-rule pruning
+    statistics and candidate counts as the serial engine; only the
+    analysis step runs in worker processes.  With ``lower_bound_prune``
+    each shard keeps its own running top-K, so ``candidates_analyzed`` may
+    differ from the serial engine's while the plans do not.
 
     Parameters
     ----------
@@ -530,24 +92,17 @@ class ParallelSearchEngine:
         Target hardware, as for :class:`SearchEngine`.
     parallelism:
         Worker-process count; defaults to ``os.cpu_count()``.  With one
-        worker the shard loop runs inline (no pool, no pickling) but still
-        benefits from memoized pruning and batched scoring.
+        worker the engine runs the serial kernel in-process.
     executor:
         Optional externally managed executor (shared across engines); when
-        provided it is not shut down by :meth:`close` and ``parallelism``
-        only bounds in-flight shard submissions.
-    sizer:
-        Chunk-size policy; defaults to a fresh :class:`AdaptiveShardSizer`.
+        provided it is not shut down by :meth:`close`.
     max_candidates:
-        Analysis budget.  Budgeted searches depend on enumeration order in a
-        way sharding cannot reproduce cheaply, so they are delegated to the
-        serial engine.
+        Analysis budget.  A budget analyses the first survivors in
+        enumeration order, so budgeted searches run in-process.
 
-    The remaining parameters mirror :class:`SearchEngine`.  One caveat: a
-    custom ``cost_model`` is honoured for budgeted (serial-fallback)
-    searches, but shard workers always score with a stock
-    :class:`CostModel` rebuilt from ``compute_efficiency`` — subclassed
-    models do not transfer across the process boundary.
+    The remaining parameters mirror :class:`SearchEngine`.  The engine's
+    ``cost_model`` is pickled into every shard task, so a custom model must
+    be picklable.
 
     Example
     -------
@@ -571,6 +126,10 @@ class ParallelSearchEngine:
         engine.close()
     """
 
+    #: Fewest survivors per worker worth a process round trip (at ~80 us of
+    #: analysis per survivor, a slice below this costs less than the trip).
+    MIN_SHARD_SURVIVORS = 256
+
     def __init__(
         self,
         device: HardwareSpec,
@@ -583,93 +142,31 @@ class ParallelSearchEngine:
         max_candidates: Optional[int] = None,
         parallelism: Optional[int] = None,
         executor: Optional[Executor] = None,
-        sizer: Optional[AdaptiveShardSizer] = None,
         incremental: bool = True,
         lower_bound_prune: bool = False,
         transfer_bound: float = 2.0,
     ) -> None:
-        if top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        self.device = device
-        self.top_k = top_k
-        self.include_dsm = include_dsm and device.has_dsm
-        self.profiler = profiler
-        self.space = space or SearchSpace(device, include_clusters=self.include_dsm)
-        self.cost_model = cost_model or CostModel(device)
-        self.require_feasible = require_feasible
-        self.max_candidates = max_candidates
-        self.incremental = incremental
-        self.lower_bound_prune = lower_bound_prune
-        self.transfer_bound = transfer_bound
-        # Warm-start transfer searches run inline in the parent (their
-        # neighborhoods are a few hundred candidates — not worth a pool
-        # round-trip) and share one analyzer so the subchain cache compounds
-        # across transfers.
-        self._transfer = TransferSearch(
+        super().__init__(
             device,
-            space=self.space,
-            cost_model=self.cost_model,
-            top_k=self.top_k,
-            include_dsm=self.include_dsm,
-            require_feasible=self.require_feasible,
-            transfer_bound=self.transfer_bound,
-            profiler=self.profiler,
-            analyzer=DataflowAnalyzer(
-                device,
-                include_dsm=self.include_dsm,
-                analysis_cache=(
-                    SubchainAnalysisCache(
-                        context=json.dumps(
-                            device.fingerprint(), sort_keys=True, default=str
-                        )
-                    )
-                    if incremental
-                    else None
-                ),
-            ),
+            top_k=top_k,
+            include_dsm=include_dsm,
+            profiler=profiler,
+            space=space,
+            cost_model=cost_model,
+            require_feasible=require_feasible,
+            max_candidates=max_candidates,
+            incremental=incremental,
+            lower_bound_prune=lower_bound_prune,
+            transfer_bound=transfer_bound,
         )
         self.parallelism = max(
             1, parallelism if parallelism is not None else (os.cpu_count() or 1)
         )
-        self.sizer = sizer or AdaptiveShardSizer()
         self._external_executor = executor
         self._owned_executor: Optional[ProcessPoolExecutor] = None
         # compile()/search() may be called concurrently from a thread pool
         # (BatchCompiler, KernelServer); guard the lazy pool creation.
         self._executor_lock = threading.Lock()
-
-    # ------------------------------------------------------------------ #
-    # Search
-    # ------------------------------------------------------------------ #
-    def search(
-        self, chain: GemmChainSpec, transfer_seed: Optional[TransferSeed] = None
-    ) -> SearchResult:
-        """Find the best fused plan — identical to the serial engine's.
-
-        A ``transfer_seed`` (from a previously compiled nearby shape)
-        triggers a bounded local search first, exactly as in
-        :meth:`SearchEngine.search`; the sharded full enumeration only runs
-        when the transfer is rejected.
-        """
-        if transfer_seed is not None:
-            with tracer().span("search.transfer", chain=chain.name) as tspan:
-                transferred = self._transfer.search(chain, transfer_seed)
-                tspan.set("accepted", transferred is not None)
-            if transferred is not None:
-                if transferred.phase_times_us is None:
-                    transferred.phase_times_us = {
-                        "transfer": transferred.search_time_s * 1e6
-                    }
-                return transferred
-        if self.max_candidates is not None:
-            return self._serial_engine().search(chain)
-        start = time.perf_counter()
-        total = self.space.size_estimate(chain)
-        if self.parallelism <= 1 or self._total_too_small(total):
-            outcomes = self._run_inline(chain, total)
-        else:
-            outcomes = self._run_pool(chain, total)
-        return self._merge(chain, outcomes, time.perf_counter() - start)
 
     def close(self) -> None:
         """Shut down the engine-owned worker pool (idempotent)."""
@@ -684,150 +181,58 @@ class ParallelSearchEngine:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # ------------------------------------------------------------------ #
-    # Shard scheduling
-    # ------------------------------------------------------------------ #
-    def _task(self, chain: GemmChainSpec, start: int, stop: int) -> ShardTask:
-        return ShardTask(
-            device=self.device,
-            chain=chain,
-            space=SpaceConfig.from_space(self.space),
-            include_dsm=self.include_dsm,
-            require_feasible=self.require_feasible,
-            keep=self.top_k,
-            compute_efficiency=self.cost_model.compute_efficiency,
-            start=start,
-            stop=stop,
-            incremental=self.incremental,
-            lower_bound_prune=self.lower_bound_prune,
-        )
-
-    def _total_too_small(self, total: int) -> bool:
-        """Whether fanning out would cost more than it saves."""
-        return total <= self.sizer.min_chunk
-
-    def _run_inline(self, chain: GemmChainSpec, total: int) -> List[ShardOutcome]:
-        outcomes: List[ShardOutcome] = []
-        frontier = 0
-        while frontier < total:
-            stop = min(total, frontier + self.sizer.next_chunk_size())
-            outcome = _search_shard(self._task(chain, frontier, stop))
-            self.sizer.observe(outcome.enumerated, outcome.analyzed)
-            outcomes.append(outcome)
-            frontier = stop
-        return outcomes
-
-    def _run_pool(self, chain: GemmChainSpec, total: int) -> List[ShardOutcome]:
+    def _analyze_and_rank(
+        self, chain: GemmChainSpec, survivors: Sequence[Survivor]
+    ) -> RankOutcome:
+        shards = min(self.parallelism, len(survivors) // self.MIN_SHARD_SURVIVORS)
+        if shards <= 1 or self.max_candidates is not None:
+            return super()._analyze_and_rank(chain, survivors)
+        start = time.perf_counter()
         executor = self._ensure_executor()
-        outcomes: List[ShardOutcome] = []
-        inflight: Dict[object, Tuple[int, int]] = {}
-        # Keep the pool saturated without racing ahead of the sizer: a
-        # bounded queue lets early prune-rate observations steer the
-        # chunking of the space's tail.
-        depth = self.parallelism * 2
-        frontier = 0
-        while frontier < total or inflight:
-            while frontier < total and len(inflight) < depth:
-                stop = min(total, frontier + self.sizer.next_chunk_size())
-                future = executor.submit(
-                    _search_shard, self._task(chain, frontier, stop)
-                )
-                inflight[future] = (frontier, stop)
-                frontier = stop
-            done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-            for future in done:
-                del inflight[future]
-                outcome = future.result()
-                self.sizer.observe(outcome.enumerated, outcome.analyzed)
-                outcomes.append(outcome)
-        return outcomes
+        step = -(-len(survivors) // shards)
+        futures = [
+            executor.submit(
+                _rank_shard,
+                ShardTask(
+                    device=self.device,
+                    include_dsm=self.include_dsm,
+                    incremental=self.incremental,
+                    cost_model=self.cost_model,
+                    keep=self.top_k,
+                    require_feasible=self.require_feasible,
+                    lower_bound_prune=self.lower_bound_prune,
+                    survivors=survivors[offset : offset + step],
+                ),
+            )
+            for offset in range(0, len(survivors), step)
+        ]
+        outcomes: List[RankOutcome] = [future.result() for future in futures]
+        merge_t0 = time.perf_counter()
+        plans = heapq.nsmallest(
+            self.top_k,
+            (plan for outcome in outcomes for plan in outcome.plans),
+            key=lambda entry: (entry[0], entry[1]),
+        )
+        merge_t1 = time.perf_counter()
+        # Shards fuse analysis and scoring, so the pool's wall time counts
+        # as analysis; only the merge is measured as ranking.
+        return RankOutcome(
+            plans=plans,
+            analyzed=sum(outcome.analyzed for outcome in outcomes),
+            skipped=sum(outcome.skipped for outcome in outcomes),
+            analyze_s=merge_t0 - start,
+            rank_s=merge_t1 - merge_t0,
+        )
 
     def _ensure_executor(self) -> Executor:
         if self._external_executor is not None:
             return self._external_executor
         with self._executor_lock:
             if self._owned_executor is None:
-                self._owned_executor = ProcessPoolExecutor(max_workers=self.parallelism)
+                # Spawned workers: the compiler may run searches from
+                # threads, and forking a threaded process is unsafe.
+                self._owned_executor = ProcessPoolExecutor(
+                    max_workers=self.parallelism,
+                    mp_context=multiprocessing.get_context("spawn"),
+                )
             return self._owned_executor
-
-    # ------------------------------------------------------------------ #
-    # Merge
-    # ------------------------------------------------------------------ #
-    def _merge(
-        self,
-        chain: GemmChainSpec,
-        outcomes: List[ShardOutcome],
-        elapsed_s: float,
-    ) -> SearchResult:
-        initial = 0
-        analyzed = 0
-        skipped = 0
-        rule_counts = {rule: 0 for rule in PruningRule}
-        entries: List[Tuple[float, int, FusionCandidate, DataflowResult]] = []
-        for outcome in outcomes:
-            initial += outcome.enumerated
-            analyzed += outcome.analyzed
-            skipped += outcome.skipped
-            for rule, count in outcome.rule_counts.items():
-                rule_counts[rule] += count
-            entries.extend(outcome.plans)
-
-        # Global top-K: the K smallest by (cost, enumeration index), exactly
-        # the serial heap's selection and tie-break rule.
-        rank_start = time.perf_counter()
-        entries.sort(key=lambda entry: (entry[0], entry[1]))
-        ranked: List[Tuple[RankedPlan, int]] = [
-            (
-                RankedPlan(candidate=candidate, result=result, predicted_cost_us=cost),
-                index,
-            )
-            for cost, index, candidate, result in entries[: self.top_k]
-        ]
-        rank_s = time.perf_counter() - rank_start
-
-        profile_s = 0.0
-        if self.profiler is not None:
-            profile_start = time.perf_counter()
-            for plan, _ in ranked:
-                plan.profiled_time_us = self.profiler(plan.result)
-            ranked.sort(key=lambda pair: (pair[0].best_known_time_us, pair[1]))
-            profile_s = time.perf_counter() - profile_start
-
-        top_k = [plan for plan, _ in ranked]
-        stats = PruningStats(initial=initial, surviving=dict(rule_counts))
-        return SearchResult(
-            chain=chain,
-            best=top_k[0] if top_k else None,
-            top_k=top_k,
-            pruning_stats=stats,
-            candidates_enumerated=initial,
-            candidates_analyzed=analyzed,
-            search_time_s=elapsed_s,
-            candidates_skipped=skipped,
-            # Shards fuse enumeration, pruning and analysis in one pass, so
-            # the sharded wall time is attributed to "analyze" wholesale;
-            # only the merge-side rank and profile phases are measured.
-            phase_times_us={
-                "analyze": elapsed_s * 1e6,
-                "rank": rank_s * 1e6,
-                "profile": profile_s * 1e6,
-            },
-        )
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _serial_engine(self) -> SearchEngine:
-        return SearchEngine(
-            self.device,
-            top_k=self.top_k,
-            include_dsm=self.include_dsm,
-            profiler=self.profiler,
-            space=self.space,
-            cost_model=self.cost_model,
-            require_feasible=self.require_feasible,
-            max_candidates=self.max_candidates,
-            incremental=self.incremental,
-            lower_bound_prune=self.lower_bound_prune,
-            transfer_bound=self.transfer_bound,
-        )

@@ -21,18 +21,32 @@ analyzer.  Rule 1 (divisible tile sizes) is inherited from prior work
 * **Rule 5 — memory capacity limit**: the persistent intermediate must fit
   within the on-chip spill budget (registers + SMEM + DSM of the chosen
   cluster).
+
+The ``rule*`` methods judge one candidate and are the reference oracle
+(:meth:`Pruner.prune`, the plan verifier and the baselines use them).  The
+search engines run :meth:`Pruner.cascade` instead: the rules split by axis
+— Rules 1-2 read only (geometry, tile), Rules 3-5 read the schedule plus a
+few cluster-tile extents, and no rule reads the gated mode — so the whole
+cascade over one chain's space is a handful of numpy masks over the
+:class:`~repro.search.space.SpaceComponents` axes, with the same survivors
+in the same order and the same Table III counts as the per-candidate walk.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.dataflow.footprint import reused_tensor_footprint
+import numpy as np
+
+from repro.dataflow.footprint import ACCUMULATOR_ITEMSIZE, reused_tensor_footprint
+from repro.dataflow.loop_schedule import LoopSchedule
 from repro.dataflow.resource_map import default_budgets
 from repro.hardware.spec import HardwareSpec
-from repro.search.space import FusionCandidate
+from repro.ir.graph import GemmChainSpec
+from repro.search.space import FusionCandidate, SpaceComponents
 
 
 class PruningRule(Enum):
@@ -88,6 +102,50 @@ class PruningStats:
                     (f"+ {rule.value}", self.surviving[rule], self.reduction_rate(rule))
                 )
         return rows
+
+
+@dataclass
+class CascadeResult:
+    """The survivors of :meth:`Pruner.cascade` over one chain's space.
+
+    ``cells`` lists the surviving ``(schedule, geometry, tile)`` component
+    indices, one row each, in enumeration order.  No rule reads the gated
+    mode, so each cell survives in every gated mode.
+    """
+
+    chain: GemmChainSpec
+    components: SpaceComponents
+    cells: np.ndarray
+    stats: PruningStats
+    #: Wall time spent on each rule, in microseconds.
+    rule_us: Dict[PruningRule, float]
+
+    def __len__(self) -> int:
+        return len(self.cells) * len(self.components.gated_modes)
+
+    def survivors(self) -> List[Tuple[int, FusionCandidate]]:
+        """``(enumeration index, candidate)`` pairs, in enumeration order."""
+        parts = self.components
+        modes = parts.gated_modes
+        stride_g = len(parts.tiles) * len(modes)
+        stride_s = len(parts.geometries) * stride_g
+        pairs: List[Tuple[int, FusionCandidate]] = []
+        for s, g, t in self.cells.tolist():
+            base = s * stride_s + g * stride_g + t * len(modes)
+            for offset, gated_sequential in enumerate(modes):
+                pairs.append(
+                    (
+                        base + offset,
+                        FusionCandidate(
+                            chain=self.chain,
+                            schedule=parts.schedules[s],
+                            tile=parts.tiles[t],
+                            geometry=parts.geometries[g],
+                            gated_sequential=gated_sequential,
+                        ),
+                    )
+                )
+        return pairs
 
 
 class Pruner:
@@ -229,6 +287,84 @@ class Pruner:
                 return rule_id
         return None
 
+    def cascade(
+        self, chain: GemmChainSpec, components: SpaceComponents
+    ) -> CascadeResult:
+        """Run Rules 1-5 over a whole space as masks over its axes.
+
+        Gives the survivors, in order, and the Table III counts that
+        :meth:`prune` gives for the components' full candidate stream, and
+        records the counts in :attr:`stats`.  Rules 1-2 run their scalar
+        predicate once per (geometry, tile) cell or geometry; Rules 3-5
+        become one (geometry x tile) mask per loop schedule.
+        """
+        schedules, geometries, tiles = (
+            components.schedules,
+            components.geometries,
+            components.tiles,
+        )
+        modes = len(components.gated_modes)
+        clock = _RuleClock()
+        if components.size == 0:
+            self.stats = PruningStats(surviving={rule: 0 for rule in PruningRule})
+            cells = np.zeros((0, 3), dtype=np.int64)
+            return CascadeResult(chain, components, cells, self.stats, clock.us)
+
+        # Rules 1-2 ignore the schedule: any one serves as the probe's.
+        probe = schedules[0]
+        rule1 = np.array(
+            [
+                [
+                    self.rule1_divisible_tiles(
+                        FusionCandidate(chain, probe, tile, geometry)
+                    )
+                    for tile in tiles
+                ]
+                for geometry in geometries
+            ],
+            dtype=bool,
+        )
+        clock.charge(PruningRule.DIVISIBLE_TILES)
+        rule2 = np.array(
+            [
+                self.rule2_cluster_size(
+                    FusionCandidate(chain, probe, tiles[0], geometry)
+                )
+                for geometry in geometries
+            ],
+            dtype=bool,
+        )
+        alive = rule1 & rule2[:, None]
+        clock.charge(PruningRule.CLUSTER_SIZE)
+
+        grid = _CascadeGrid(self, chain, components, rule2)
+        clock.charge(PruningRule.MEMORY_CAPACITY)
+        activation = dependency = 0
+        masks = []
+        for schedule in schedules:
+            mask = alive & grid.rule3(schedule)
+            activation += int(mask.sum())
+            clock.charge(PruningRule.ACTIVATION)
+            mask &= grid.rule4(schedule)
+            dependency += int(mask.sum())
+            clock.charge(PruningRule.DEPENDENCY)
+            mask &= grid.rule5(schedule)
+            masks.append(mask)
+            clock.charge(PruningRule.MEMORY_CAPACITY)
+
+        cells = np.argwhere(np.stack(masks))
+        self.stats = PruningStats(
+            initial=components.size,
+            surviving={
+                PruningRule.DIVISIBLE_TILES: len(schedules) * int(rule1.sum()) * modes,
+                PruningRule.CLUSTER_SIZE: len(schedules) * int(alive.sum()) * modes,
+                PruningRule.ACTIVATION: activation * modes,
+                PruningRule.DEPENDENCY: dependency * modes,
+                PruningRule.MEMORY_CAPACITY: len(cells) * modes,
+            },
+        )
+        return CascadeResult(chain, components, cells, self.stats, clock.us)
+
     def prune(self, candidates: Iterable[FusionCandidate]) -> Iterator[FusionCandidate]:
         """Yield surviving candidates while accumulating Table III counts."""
         counts = {rule_id: 0 for rule_id, _ in self.rules()}
@@ -250,3 +386,105 @@ class Pruner:
     ) -> List[FusionCandidate]:
         """Materialised version of :meth:`prune`."""
         return list(self.prune(candidates))
+
+
+class _RuleClock:
+    """Charges the wall time since the last charge to one rule."""
+
+    def __init__(self) -> None:
+        self.us = {rule: 0.0 for rule in PruningRule}
+        self._last = time.perf_counter()
+
+    def charge(self, rule: PruningRule) -> None:
+        now = time.perf_counter()
+        self.us[rule] += (now - self._last) * 1e6
+        self._last = now
+
+
+class _CascadeGrid:
+    """Rules 3-5 of one chain's space as per-schedule (geometry x tile) masks.
+
+    Each mask restates its scalar rule over the cluster-tile extents of
+    every (geometry, tile) cell; :meth:`Pruner.cascade` ANDs them in rule
+    order.
+    """
+
+    def __init__(
+        self,
+        pruner: Pruner,
+        chain: GemmChainSpec,
+        components: SpaceComponents,
+        rule2: np.ndarray,
+    ) -> None:
+        sizes = chain.dimension_sizes()
+        cls = np.array([g.as_tuple() for g in components.geometries], dtype=np.int64)
+        blocks = np.array(
+            [[t.block_of(dim) for dim in "mnkl"] for t in components.tiles],
+            dtype=np.int64,
+        )
+        # (geometry, tile) grids of cluster-tile extents, in (m, n, k, l) order.
+        cluster_m, cluster_n, cluster_k, cluster_l = (
+            cls[:, None, axis] * blocks[None, :, axis] for axis in range(4)
+        )
+        self.include_dsm = pruner.include_dsm
+        self.k_covered = cluster_k >= sizes["k"]
+        self.l_covered = cluster_l >= sizes["l"]
+        self.n_in_block = np.broadcast_to(
+            blocks[None, :, 1] >= sizes["n"], self.l_covered.shape
+        )
+        # Rule 5 footprints (Figure 9) per persistence class, compared with
+        # each geometry's on-chip capacity.  A geometry that fails Rule 2
+        # has no capacity (the device rejects its cluster size); it is
+        # already dead, so -1 stands in.
+        m_tile = np.minimum(cluster_m, sizes["m"])
+        itemsize = chain.itemsize
+        c_tile = m_tile * np.minimum(cluster_n, sizes["n"]) * itemsize
+        self._footprints = {
+            "c_row": m_tile * sizes["n"] * itemsize,
+            "e_row": m_tile * sizes["l"] * ACCUMULATOR_ITEMSIZE,
+            "c_tile": c_tile,
+            "e_tile": m_tile * np.minimum(cluster_l, sizes["l"]) * ACCUMULATOR_ITEMSIZE,
+        }
+        self._capacity = np.array(
+            [
+                pruner._on_chip_capacity(
+                    g.blocks_per_cluster if pruner.include_dsm else 1,
+                    pruner.include_dsm and g.uses_dsm,
+                )
+                if valid
+                else -1.0
+                for g, valid in zip(components.geometries, rule2.tolist())
+            ]
+        )[:, None]
+        self._fits: Dict[str, np.ndarray] = {}
+
+    def rule3(self, schedule: LoopSchedule):
+        """Rule 3 over the grid (a bool when the schedule alone decides)."""
+        if schedule.is_temporal("k"):
+            return schedule.innermost() == "k"
+        return self.k_covered
+
+    def rule4(self, schedule: LoopSchedule):
+        """Rule 4 over the grid (a bool when the schedule alone decides)."""
+        mask = True
+        if schedule.is_spatial("l"):
+            mask = self.l_covered
+        if not self.include_dsm and schedule.is_spatial("n"):
+            mask = mask & self.n_in_block
+        return mask
+
+    def rule5(self, schedule: LoopSchedule) -> np.ndarray:
+        """Rule 5 over the grid."""
+        n_temporal = schedule.is_temporal("n")
+        l_temporal = schedule.is_temporal("l")
+        if n_temporal and l_temporal:
+            kind = "c_row" if schedule.is_outer_than("l", "n") else "e_row"
+        elif n_temporal:
+            kind = "e_tile"
+        else:
+            kind = "c_tile"
+        fits = self._fits.get(kind)
+        if fits is None:
+            fits = self._footprints[kind] <= self._capacity
+            self._fits[kind] = fits
+        return fits

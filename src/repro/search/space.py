@@ -9,7 +9,8 @@ The initial space (Section IV-C2) is the cross product of
 which for GPT-6.7B-sized problems reaches ~2.75e13 candidates (Table III's
 first row).  :func:`initial_space_size` reproduces that count analytically;
 :class:`SearchSpace` lazily enumerates a tractable, hardware-aware subset
-(power-of-two tiles) that the pruning rules then filter.
+(power-of-two tiles) that the pruning rules then filter; its per-axis lists
+(:class:`SpaceComponents`) are what the vectorised cascade prunes.
 """
 
 from __future__ import annotations
@@ -196,10 +197,7 @@ class SearchSpace:
         Candidates carry the index they occupy in the full :meth:`candidates`
         stream, so disjoint ``[start, stop)`` ranges partition the space
         deterministically: concatenating the slices in index order
-        reproduces the serial enumeration exactly.  This is the sharding
-        primitive of :class:`repro.search.parallel.ParallelSearchEngine` —
-        a worker reconstructs its shard from ``(chain, start, stop)`` alone
-        instead of receiving pickled candidates.
+        reproduces the serial enumeration exactly.
         """
         parts = components or self.components(chain)
         total = parts.size
@@ -267,10 +265,10 @@ class SpaceComponents:
     def decompose(self, index: int) -> Tuple[int, int, int, int]:
         """Component indices ``(schedule, geometry, tile, gated)`` at ``index``.
 
-        The single source of truth for the enumeration-order contract: both
-        :meth:`SearchSpace.candidates_range` and the parallel engine's shard
-        workers map global indices through this method, so the ordering can
-        never silently diverge between them.
+        The enumeration-order contract: :meth:`SearchSpace.candidates_range`
+        maps global indices through this method, and the pruning cascade's
+        survivor indices (:meth:`~repro.search.pruning.Pruner.cascade`)
+        follow the same nesting.
         """
         remainder, gated_index = divmod(index, len(self.gated_modes))
         remainder, tile_index = divmod(remainder, len(self.tiles))

@@ -348,11 +348,15 @@ class TestFleetStartup:
 
 
 class TestFleetBackpressure:
+    # Backpressure tests use the default (slower) search knobs on purpose:
+    # the blocking compile must still be in flight when the test looks.
     def test_rejects_past_watermark_and_serve_retries(self):
-        config = FleetConfig(workers=1, watermark=1, retry_after_s=0.02, **FAST)
+        config = FleetConfig(
+            workers=1, watermark=1, retry_after_s=0.02, health_interval_s=0.1
+        )
         with ServingFleet(config) as fleet:
             blocker = threading.Thread(
-                target=lambda: fleet.serve("G7", m=64), daemon=True
+                target=lambda: fleet.serve("G8", m=64), daemon=True
             )
             blocker.start()
             assert _wait(lambda: len(fleet._pending) >= 1)
@@ -369,7 +373,9 @@ class TestFleetBackpressure:
             assert stats["router"]["rejected"] >= 1
 
     def test_serve_returns_last_rejection_when_budget_exhausted(self):
-        config = FleetConfig(workers=1, watermark=1, retry_after_s=0.05, **FAST)
+        config = FleetConfig(
+            workers=1, watermark=1, retry_after_s=0.05, health_interval_s=0.1
+        )
         with ServingFleet(config) as fleet:
             blocker = threading.Thread(
                 target=lambda: fleet.serve("G8", m=64), daemon=True

@@ -5,8 +5,8 @@ configuration, :class:`~repro.search.parallel.ParallelSearchEngine` must
 return the *identical* best plan, top-K ordering, per-rule pruning counts
 and candidate totals as the serial :class:`~repro.search.engine.SearchEngine`
 — sharding may only change wall-clock.  The supporting pieces (index-sliced
-enumeration, bit-identical batched scoring, the adaptive shard sizer) are
-tested individually as well.
+enumeration, bit-identical batched scoring) are tested individually as
+well.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.ir.builders import build_gated_ffn, build_standard_ffn
 from repro.runtime.batch import BatchCompiler
 from repro.search.cost_model import CostModel
 from repro.search.engine import SearchEngine
-from repro.search.parallel import AdaptiveShardSizer, ParallelSearchEngine
+from repro.search.parallel import ParallelSearchEngine
 from repro.search.pruning import Pruner
 from repro.search.space import SearchSpace
 from repro.sim.engine import PerformanceSimulator
@@ -43,13 +43,6 @@ def simulator(device):
 
 def _space(device):
     return SearchSpace(device, max_tile=128)
-
-
-def _small_shards():
-    """A sizer that forces many shards even on small test spaces."""
-    return AdaptiveShardSizer(
-        target_analyzed=128, initial_chunk=2048, min_chunk=256, max_chunk=8192
-    )
 
 
 def _assert_same_search(serial, parallel):
@@ -136,53 +129,6 @@ class TestEvaluateBatch:
         assert CostModel(device).evaluate_batch([]).shape == (0,)
 
 
-class TestAdaptiveShardSizer:
-    def test_initial_chunk_before_observations(self):
-        sizer = AdaptiveShardSizer(initial_chunk=4096, min_chunk=512)
-        assert sizer.next_chunk_size() == 4096
-
-    def test_dense_shards_shrink_sparse_shards_grow(self):
-        dense = AdaptiveShardSizer(
-            target_analyzed=100, initial_chunk=8192, min_chunk=64, max_chunk=1 << 20
-        )
-        dense.observe(enumerated=1000, analyzed=500)  # 50% survive
-        assert dense.next_chunk_size() == 200
-
-        sparse = AdaptiveShardSizer(
-            target_analyzed=100, initial_chunk=8192, min_chunk=64, max_chunk=1 << 20
-        )
-        sparse.observe(enumerated=10000, analyzed=10)  # 0.1% survive
-        assert sparse.next_chunk_size() == 100000
-
-    def test_chunk_bounds_respected(self):
-        sizer = AdaptiveShardSizer(
-            target_analyzed=100, initial_chunk=1024, min_chunk=512, max_chunk=2048
-        )
-        sizer.observe(enumerated=10, analyzed=10)
-        assert sizer.next_chunk_size() == 512
-        sizer = AdaptiveShardSizer(
-            target_analyzed=100, initial_chunk=1024, min_chunk=512, max_chunk=2048
-        )
-        sizer.observe(enumerated=100000, analyzed=1)
-        assert sizer.next_chunk_size() == 2048
-
-    def test_smoothing_blends_observations(self):
-        sizer = AdaptiveShardSizer(smoothing=0.5)
-        sizer.observe(enumerated=100, analyzed=100)
-        sizer.observe(enumerated=100, analyzed=0)
-        assert sizer._survival_rate == pytest.approx(0.5)
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            AdaptiveShardSizer(target_analyzed=0)
-        with pytest.raises(ValueError):
-            AdaptiveShardSizer(min_chunk=0)
-        with pytest.raises(ValueError):
-            AdaptiveShardSizer(min_chunk=512, initial_chunk=256)
-        with pytest.raises(ValueError):
-            AdaptiveShardSizer(smoothing=0.0)
-
-
 class _ScriptedCostModel(CostModel):
     """Deterministic cost script by analysis order, for tie-break tests."""
 
@@ -265,7 +211,6 @@ class TestParallelSerialEquivalence:
             profiler=simulator.profile,
             space=_space(device),
             parallelism=1,
-            sizer=_small_shards(),
         ).search(chain)
         _assert_same_search(serial, parallel)
 
@@ -280,7 +225,6 @@ class TestParallelSerialEquivalence:
             profiler=simulator.profile,
             space=_space(device),
             parallelism=2,
-            sizer=_small_shards(),
         ) as engine:
             parallel = engine.search(chain)
         _assert_same_search(serial, parallel)
@@ -293,7 +237,6 @@ class TestParallelSerialEquivalence:
             top_k=5,
             space=_space(device),
             parallelism=1,
-            sizer=_small_shards(),
         ).search(gated)
         _assert_same_search(serial, parallel)
         assert serial.best.candidate.gated_sequential == (
@@ -304,7 +247,7 @@ class TestParallelSerialEquivalence:
         chain = _chain(name="par-no-dsm")
         serial = SearchEngine(device, top_k=3, include_dsm=False).search(chain)
         parallel = ParallelSearchEngine(
-            device, top_k=3, include_dsm=False, parallelism=1, sizer=_small_shards()
+            device, top_k=3, include_dsm=False, parallelism=1
         ).search(chain)
         _assert_same_search(serial, parallel)
 

@@ -210,7 +210,7 @@ class TestTransferSearch:
         )
         # A seed whose tiles lie outside the space's neighborhood yields no
         # candidates; the caller must fall back to full enumeration.
-        assert transfer.neighborhood(_chain(), foreign) == [] or (
+        assert transfer.neighborhood(_chain(), foreign).size == 0 or (
             transfer.search(_chain(), foreign) is None
         )
 
