@@ -32,6 +32,13 @@ this module turns each into a machine check over the source tree
     ``except``-and-``pass`` over broad exception types (``Exception``,
     ``OSError``, bare) swallows failures invisibly; handle, count, or
     narrow them.
+``metric-names``
+    Every ``repro_*`` name literal passed to ``.counter(``, ``.gauge(``
+    or ``.histogram(`` has exactly one call site in the package and a row
+    in the metric catalog of ``docs/OBSERVABILITY.md``, and every catalog
+    row has a call site — so each metric is recorded in one place and
+    documented.  This check spans the whole tree, so it runs in
+    :meth:`Linter.lint_tree` (and :func:`run_repo_lint`) only.
 
 False positives can be suppressed per line with ``# lint: allow[<check>]``.
 """
@@ -39,6 +46,7 @@ False positives can be suppressed per line with ``# lint: allow[<check>]``.
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -113,6 +121,7 @@ CHECK_LOCK_DISCIPLINE = "lock-discipline"
 CHECK_NONDETERMINISM = "nondeterminism"
 CHECK_TO_DICT_ORDER = "to-dict-order"
 CHECK_SILENT_EXCEPT = "silent-except"
+CHECK_METRIC_NAMES = "metric-names"
 
 ALL_CHECKS = (
     CHECK_KEY_DRIFT,
@@ -120,7 +129,15 @@ ALL_CHECKS = (
     CHECK_NONDETERMINISM,
     CHECK_TO_DICT_ORDER,
     CHECK_SILENT_EXCEPT,
+    CHECK_METRIC_NAMES,
 )
+
+#: Registry methods whose first argument names a metric.
+METRIC_FACTORIES = frozenset({"counter", "gauge", "histogram"})
+
+#: A catalog row: a Markdown table row whose first cell is a backticked
+#: ``repro_*`` metric name.
+_CATALOG_ROW = re.compile(r"^\|\s*`(repro_[A-Za-z0-9_]+)`\s*\|")
 
 
 @dataclass(frozen=True)
@@ -589,12 +606,93 @@ class Linter:
         )
 
     def lint_tree(self, package_root) -> List[LintViolation]:
-        """Lint every module under a ``repro`` package tree."""
+        """Lint every module under a ``repro`` package tree.
+
+        Beyond the per-file checks this runs the tree-wide
+        ``metric-names`` check (:func:`check_metric_names`).
+        """
         package_root = Path(package_root)
         violations: List[LintViolation] = []
         for path in sorted(package_root.rglob("*.py")):
             violations.extend(self.lint_file(path, package_root=package_root))
+        violations.extend(check_metric_names(package_root))
         return violations
+
+
+def _metric_sites(tree: ast.AST) -> Iterable[Tuple[str, int]]:
+    """``(name, line)`` of every ``.counter/.gauge/.histogram("repro_*")``."""
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in METRIC_FACTORIES
+        ):
+            continue
+        for argument in node.args[:1]:
+            if (
+                isinstance(argument, ast.Constant)
+                and isinstance(argument.value, str)
+                and argument.value.startswith("repro_")
+            ):
+                yield argument.value, node.lineno
+
+
+def check_metric_names(package_root) -> List[LintViolation]:
+    """The ``metric-names`` check over one package tree.
+
+    The catalog is ``docs/OBSERVABILITY.md`` of the repository holding
+    the tree (``<package_root>/../../docs``, the ``src/repro`` layout):
+    its table rows whose first cell is a backticked ``repro_*`` name.  A
+    missing catalog lists nothing, so every recorded metric is flagged.
+
+    Parameters
+    ----------
+    package_root:
+        The ``repro`` package directory whose modules are scanned.
+    """
+    package_root = Path(package_root)
+    sites: Dict[str, List[Tuple[str, int]]] = {}
+    for path in sorted(package_root.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        try:
+            tree = ast.parse(source)
+        except SyntaxError:
+            continue  # reported by the per-file checks
+        allowed = _allowed_lines(source)
+        for name, line in _metric_sites(tree):
+            if CHECK_METRIC_NAMES not in allowed.get(line, ()):
+                sites.setdefault(name, []).append((str(path), line))
+    catalog_path = package_root.parent.parent / "docs" / "OBSERVABILITY.md"
+    catalog: Dict[str, int] = {}
+    if catalog_path.is_file():
+        lines = catalog_path.read_text(encoding="utf-8").splitlines()
+        for number, text in enumerate(lines, start=1):
+            match = _CATALOG_ROW.match(text)
+            if match:
+                catalog.setdefault(match.group(1), number)
+    violations: List[LintViolation] = []
+
+    def flag(path, line: int, message: str) -> None:
+        violations.append(LintViolation(CHECK_METRIC_NAMES, str(path), line, message))
+
+    for name in sorted(sites):
+        (first_path, first_line), *others = sites[name]
+        for path, line in others:
+            flag(
+                path,
+                line,
+                f"metric {name!r} is also recorded at {first_path}:{first_line}; "
+                "every metric has exactly one recording site",
+            )
+        if name not in catalog:
+            flag(
+                first_path,
+                first_line,
+                f"metric {name!r} is missing from the catalog in {catalog_path.name}",
+            )
+    for name in sorted(set(catalog) - set(sites)):
+        flag(catalog_path, catalog[name], f"metric {name!r} has no recording site")
+    return violations
 
 
 def parse_config_fields(config_path) -> Tuple[Set[str], Set[str]]:

@@ -24,9 +24,10 @@ lock is held.  This module turns both conventions into checks:
   violations, ``strict`` to raise on them) — so production serving pays
   nothing for the detector's existence.
 
-The monitor tracks lock *instances*, not lock names: two ``ServingStats``
-sinks merged in opposite directions are a real inversion and are caught,
-while unrelated instances that merely share a class never alias.
+The monitor tracks lock *instances*, not lock names: two ``PlanCache``
+instances whose locks two threads take in opposite orders are a real
+inversion and are caught, while unrelated instances that merely share a
+class never alias.
 """
 
 from __future__ import annotations

@@ -158,6 +158,8 @@ class _WorkerHandle:
         self.startup_exitcode: Optional[int] = None
         #: When a dead slot (``process is None``) is due to respawn.
         self.respawn_at = 0.0
+        #: The live incarnation's last pushed ``stats_payload()``.
+        self.stats: Optional[Dict[str, object]] = None
 
     def alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
@@ -230,13 +232,11 @@ class ServingFleet:
         self._handles: List[_WorkerHandle] = []
         self._result_queue = None
         self._lock = make_lock("fleet-router")
-        #: Signalled on worker ready/death and stats replies; waiters take
-        #: it before ``_lock``, notifiers take it after releasing ``_lock``.
+        #: Signalled on worker ready/death; waiters take it before
+        #: ``_lock``, notifiers take it after releasing ``_lock``.
         self._changed = threading.Condition()
         self._pending: Dict[int, _Pending] = {}
         self._task_ids = itertools.count()
-        self._stats_replies: Dict[str, Dict[str, Dict[str, object]]] = {}
-        self._stats_tokens = itertools.count()
         self._counters: Dict[str, int] = {
             "routed": 0,
             "rejected": 0,
@@ -484,25 +484,20 @@ class ServingFleet:
         with self._lock:
             return [h.worker_id for h in self._handles if h.alive()]
 
-    def stats(self, timeout: float = 10.0) -> FleetStats:
+    def stats(self) -> FleetStats:
         """Router counters, front-end stats and per-worker metrics.
 
-        Workers answer on the ordinary result queue, so a worker stuck in
-        a long compile delays its reply; after ``timeout`` the snapshot is
-        returned with whichever workers answered (the router and front-end
-        blocks are always complete).
+        Never waits on a worker: each one pushes its metrics with its ready
+        report and with every compile result, and ``per_worker`` holds the
+        last payload of each live, ready worker — a worker busy in a long
+        compile reports what it sent last.
         """
-        token = f"stats-{next(self._stats_tokens)}"
         with self._lock:
-            self._stats_replies[token] = {}
-            targets = [h for h in self._handles if h.alive() and h.ready]
-            for handle in targets:
-                handle.task_queue.put(("stats", token))
-        self._wait_for(
-            lambda: len(self._stats_replies[token]) >= len(targets), timeout
-        )
-        with self._lock:
-            per_worker = self._stats_replies.pop(token, {})
+            per_worker = {
+                str(handle.worker_id): handle.stats
+                for handle in self._handles
+                if handle.alive() and handle.ready and handle.stats is not None
+            }
             router: Dict[str, object] = dict(self._counters)
             router["inflight"] = len(self._pending)
             router["queue_depth"] = {
@@ -672,14 +667,15 @@ class ServingFleet:
                 self._on_result(message)
             elif op == "ready":
                 self._on_ready(message)
-            elif op == "stats":
-                self._on_stats(message)
 
     def _on_result(self, message) -> None:
-        _, worker_id, _incarnation, task_id, payload = message
+        _, worker_id, incarnation, task_id, payload, stats = message
         payload = dict(payload)
         payload["worker"] = worker_id
         with self._lock:
+            sender = self._handles[worker_id]
+            if incarnation == sender.incarnation:
+                sender.stats = stats
             pending = self._pending.pop(task_id, None)
             for handle in self._handles:
                 handle.inflight.discard(task_id)
@@ -690,21 +686,14 @@ class ServingFleet:
             pending.future.set_result(payload)
 
     def _on_ready(self, message) -> None:
-        _, worker_id, incarnation = message
+        _, worker_id, incarnation, stats = message
         with self._lock:
             handle = self._handles[worker_id]
             if incarnation == handle.incarnation:
                 handle.ready = True
+                handle.stats = stats
                 handle.failed_starts = 0
                 handle.startup_exitcode = None
-        self._notify()
-
-    def _on_stats(self, message) -> None:
-        _, worker_id, _incarnation, token, payload = message
-        with self._lock:
-            replies = self._stats_replies.get(token)
-            if replies is not None:
-                replies[str(worker_id)] = payload
         self._notify()
 
     def _health_loop(self) -> None:
@@ -772,6 +761,7 @@ class ServingFleet:
             # its successor starts from an empty queue.
             handle.process = None
             handle.ready = False
+            handle.stats = None
             handle.task_queue = self._ctx.Queue()
             handle.respawn_at = time.monotonic() + delay
             if delay == 0.0:

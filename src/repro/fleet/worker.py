@@ -20,14 +20,16 @@ Task queue (router -> worker)
     ``(trace_id, parent_span_id, sent_us)``; workers adopt it so their
     spans stitch into the front end's trace (and ``sent_us`` yields a
     queue-wait span).  Workers accept both arities.
-    ``("stats", token)`` — snapshot and report this worker's metrics.
     ``("stop",)`` — drain and exit.
 
 Result queue (worker -> router)
-    ``("ready", worker_id, incarnation)`` — the compiler is built.
-    ``("result", worker_id, incarnation, task_id, payload)`` — one compile;
-    ``payload`` carries the source, elapsed time and any error.
-    ``("stats", worker_id, incarnation, token, payload)`` — metrics reply.
+    ``("ready", worker_id, incarnation, stats)`` — the compiler is built.
+    ``("result", worker_id, incarnation, task_id, payload, stats)`` — one
+    compile; ``payload`` carries the source, elapsed time and any error.
+
+Every message carries the worker's :meth:`FleetWorker.stats_payload` as
+its last element, so the router always holds each worker's latest metrics
+without asking for them.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ class FleetWorker:
             "compiles": self.compiles,
         }
         if self.compiler.cache is not None:
-            payload["cache"] = self.compiler.cache.stats.snapshot()
+            payload["cache"] = self.compiler.cache.stats.to_dict()
         return payload
 
     def close(self) -> None:
@@ -167,7 +169,7 @@ def worker_main(
         incarnation=incarnation,
         cache_dir=cache_dir,
     )
-    result_queue.put(("ready", worker_id, incarnation))
+    result_queue.put(("ready", worker_id, incarnation, worker.stats_payload()))
     try:
         while True:
             task = task_queue.get()
@@ -192,19 +194,9 @@ def worker_main(
                     ) as span:
                         payload = worker.compile(chain, overrides)
                         span.set("source", payload.get("source"))
+                stats = worker.stats_payload()
                 result_queue.put(
-                    ("result", worker_id, incarnation, task_id, payload)
-                )
-            elif op == "stats":
-                _, token = task
-                result_queue.put(
-                    (
-                        "stats",
-                        worker_id,
-                        incarnation,
-                        token,
-                        worker.stats_payload(),
-                    )
+                    ("result", worker_id, incarnation, task_id, payload, stats)
                 )
     finally:
         worker.close()

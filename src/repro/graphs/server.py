@@ -274,7 +274,7 @@ class ModelServer:
     def snapshot(self) -> Dict[str, object]:
         """Model-level metrics plus the backing kernel server's snapshot."""
         return {
-            "models": self.stats.snapshot(),
+            "models": self.stats.to_dict(),
             "kernels": self.server.snapshot(),
         }
 

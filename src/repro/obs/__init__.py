@@ -1,9 +1,10 @@
 """Observability layer: tracing, metrics, and structured logging.
 
 The serving stack's aggregate stats (:class:`~repro.runtime.stats.ServingStats`,
-:class:`~repro.fleet.stats.FleetStats`) answer "how did the fleet do overall";
-this package answers "where did *this* request spend its time" and "what is
-the fleet doing *right now*":
+:class:`~repro.runtime.cache.CacheStats`, :class:`~repro.fleet.stats.FleetStats`)
+answer "how did the fleet do overall" — the first two are views over samples
+of this package's :class:`MetricsRegistry`, their one store; this package also
+answers "where did *this* request spend its time":
 
 * :mod:`repro.obs.trace` — a span-based tracer with deterministic IDs,
   thread- and process-boundary context propagation, JSONL span files and
@@ -11,9 +12,9 @@ the fleet doing *right now*":
   via ``REPRO_TRACE=1`` (the same zero-overhead-when-off pattern as
   ``REPRO_LOCK_CHECK``'s lock factory).
 * :mod:`repro.obs.metrics` — counters/gauges/histograms with fixed
-  log-spaced latency buckets (merges are exact, mirroring
-  ``ServingStats.merge``), a Prometheus text-exposition writer, and the
-  single shared percentile implementation the bench layer delegates to.
+  log-spaced latency buckets (merges are exact), the registry the serving
+  stats record into, a Prometheus text-exposition writer, and the single
+  shared percentile implementation the bench layer delegates to.
 * :mod:`repro.obs.logging` — the ``repro.*`` structured-logging namespace,
   levelled via ``REPRO_LOG_LEVEL``.
 * :mod:`repro.obs.summary` — trace stitching, per-stage breakdowns and

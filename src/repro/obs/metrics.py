@@ -12,15 +12,14 @@ for latency math:
 * **Fixed log-spaced buckets.**  :func:`bucket_index` assigns every
   latency to one of :data:`BUCKETS_PER_DECADE` buckets per decade with
   process-independent boundaries, so histograms merge *exactly* — adding
-  two workers' bucket counts yields the same histogram as observing their
-  union, mirroring how ``ServingStats.merge`` composes count/total/min/max
-  losslessly.
+  two histograms' bucket counts (and count/total/min/max) yields the same
+  histogram as observing their union.
 
-:class:`MetricsRegistry` aggregates :class:`Counter`/:class:`Gauge`/
-:class:`Histogram` samples (optionally labelled), renders them in the
-Prometheus text exposition format, and ingests the existing
-``ServingStats``/``CacheStats``/``FleetStats`` snapshot payloads so one
-scrape shows the whole fleet.
+:class:`MetricsRegistry` holds :class:`Counter`/:class:`Gauge`/
+:class:`Histogram` samples (optionally labelled) and renders them in the
+Prometheus text exposition format.  It is the store the serving metrics
+record into: ``ServingStats`` and ``CacheStats`` each own one and derive
+their ``to_dict()`` views from its samples.
 """
 
 from __future__ import annotations
@@ -189,10 +188,6 @@ def histogram_quantile(
 class Counter:
     """A monotonically growing count (one labelled sample).
 
-    ``inc`` accumulates live increments; ``set_total`` publishes an
-    absolute total taken from an existing stats snapshot (the bridge the
-    ``publish_*`` helpers use).
-
     Example
     -------
     ::
@@ -213,10 +208,6 @@ class Counter:
             raise ValueError("counters only grow; use a Gauge instead")
         self.value += amount
 
-    def set_total(self, value: float) -> None:
-        """Publish an absolute total from a stats snapshot."""
-        self.value = float(value)
-
 
 class Gauge:
     """A point-in-time value (one labelled sample)."""
@@ -235,9 +226,9 @@ class Histogram:
     """A log-bucket latency histogram (one labelled sample).
 
     Buckets are the fixed log-spaced grid of :func:`bucket_index`, so
-    :meth:`merge` (plain count addition) is exact across processes; count,
-    total, min and max are tracked alongside, mirroring
-    ``LatencySummary``.
+    :meth:`merge` (plain count addition) is exact; count, total, min and
+    max are tracked alongside.  ``ServingStats`` keeps one per resolution
+    source and reports their merge as its overall latency.
 
     Example
     -------
@@ -287,36 +278,6 @@ class Histogram:
             self.buckets, q, min_value=self.min, max_value=self.max
         )
 
-    def load(
-        self,
-        count: int,
-        total: float,
-        min_value: float,
-        max_value: float,
-        buckets: Mapping[int, int],
-    ) -> "Histogram":
-        """Publish absolute state from a stats snapshot (returns self).
-
-        Parameters
-        ----------
-        count:
-            Observation count.
-        total:
-            Sum of observations.
-        min_value:
-            Smallest observation.
-        max_value:
-            Largest observation.
-        buckets:
-            Log-bucket counts keyed by :func:`bucket_index`.
-        """
-        self.count = int(count)
-        self.total = float(total)
-        self.min = float(min_value) if self.count else math.inf
-        self.max = float(max_value)
-        self.buckets = {int(index): int(n) for index, n in buckets.items()}
-        return self
-
     def snapshot(self) -> Dict[str, object]:
         """Plain-dictionary view (pinned key order)."""
         return {
@@ -340,8 +301,8 @@ class MetricsRegistry:
     """A named collection of labelled counter/gauge/histogram samples.
 
     Samples are created on first access and identified by metric name plus
-    a sorted label set; re-accessing returns the same sample, so publishers
-    can overwrite snapshot-derived values scrape after scrape.  Rendering
+    a sorted label set; re-accessing returns the same sample, so a recorder
+    can fetch a sample once and keep the reference.  Rendering
     is deterministic: metrics sort by name, samples by label tuple, and the
     JSON :meth:`snapshot` pins its key order — equal registry state always
     serializes identically.
@@ -413,201 +374,6 @@ class MetricsRegistry:
         """
         return self._sample(Histogram, name, help_text, labels)
 
-    # -- snapshot publishers --------------------------------------------- #
-    def publish_serving_stats(
-        self,
-        payload: Mapping[str, object],
-        prefix: str = "repro_serving",
-        **labels,
-    ) -> None:
-        """Publish a ``ServingStats.to_dict()`` payload into the registry.
-
-        Request/hit/miss totals become counters, the hit rate a gauge,
-        per-source request counts a labelled counter, and every latency
-        summary that carries log-bucket counts becomes a mergeable
-        histogram (summaries predating the bucket field publish count-only
-        histograms).
-
-        Parameters
-        ----------
-        payload:
-            A :meth:`repro.runtime.stats.ServingStats.to_dict` snapshot.
-        prefix:
-            Metric-name prefix (`repro_serving` by default).
-        """
-        self.counter(f"{prefix}_requests_total", "Requests served", **labels)\
-            .set_total(payload.get("requests", 0))
-        self.counter(f"{prefix}_hits_total", "Search-free requests", **labels)\
-            .set_total(payload.get("hits", 0))
-        self.counter(f"{prefix}_misses_total", "On-demand compiles", **labels)\
-            .set_total(payload.get("misses", 0))
-        self.gauge(f"{prefix}_hit_rate", "Search-free fraction", **labels)\
-            .set(payload.get("hit_rate", 0.0))
-        by_source = payload.get("by_source") or {}
-        if isinstance(by_source, Mapping):
-            for source, count in by_source.items():
-                self.counter(
-                    f"{prefix}_requests_by_source_total",
-                    "Requests by resolution source",
-                    source=source,
-                    **labels,
-                ).set_total(count)
-        latency = payload.get("latency_us") or {}
-        if isinstance(latency, Mapping):
-            for source, summary in latency.items():
-                self._publish_latency(
-                    f"{prefix}_latency_us", summary, source=source, **labels
-                )
-        overall = payload.get("overall_latency_us")
-        if isinstance(overall, Mapping):
-            self._publish_latency(
-                f"{prefix}_overall_latency_us", overall, **labels
-            )
-
-    def _publish_latency(
-        self, name: str, summary: Mapping[str, object], **labels
-    ) -> None:
-        buckets = summary.get("buckets") or {}
-        count = int(summary.get("count", 0))
-        mean = float(summary.get("mean_us", 0.0))
-        self.histogram(name, "Latency histogram (log buckets)", **labels).load(
-            count=count,
-            total=mean * count,
-            min_value=float(summary.get("min_us", 0.0)),
-            max_value=float(summary.get("max_us", 0.0)),
-            buckets={int(k): int(v) for k, v in dict(buckets).items()},
-        )
-
-    def publish_cache_stats(
-        self,
-        payload: Mapping[str, object],
-        prefix: str = "repro_cache",
-        **labels,
-    ) -> None:
-        """Publish a ``CacheStats.to_dict()`` payload into the registry.
-
-        Every counter of the plan cache (tier hits, misses, stores,
-        evictions, and the four disk-entry failure modes) becomes a
-        Prometheus counter; the hit rate becomes a gauge.
-
-        Parameters
-        ----------
-        payload:
-            A :meth:`repro.runtime.cache.CacheStats.to_dict` snapshot.
-        prefix:
-            Metric-name prefix (`repro_cache` by default).
-        """
-        for key, value in payload.items():
-            if key == "hit_rate":
-                self.gauge(
-                    f"{prefix}_hit_rate", "Plan-cache hit fraction", **labels
-                ).set(value)
-            else:
-                self.counter(
-                    f"{prefix}_{key}_total", f"Plan-cache {key}", **labels
-                ).set_total(value)
-
-    def publish_fleet_stats(
-        self,
-        payload: Mapping[str, object],
-        prefix: str = "repro_fleet",
-    ) -> None:
-        """Publish a ``FleetStats.to_dict()`` payload into the registry.
-
-        Router counters and worker liveness become counters/gauges, the
-        fleet-wide merged serving aggregate publishes unlabelled, and each
-        worker's own serving stats publish under a ``worker`` label — one
-        scrape therefore shows the whole fleet at every granularity.
-
-        Parameters
-        ----------
-        payload:
-            A :meth:`repro.fleet.stats.FleetStats.to_dict` snapshot.
-        prefix:
-            Metric-name prefix (`repro_fleet` by default).
-        """
-        self.gauge(f"{prefix}_workers", "Configured workers").set(
-            payload.get("workers", 0)
-        )
-        self.gauge(f"{prefix}_workers_alive", "Live worker processes").set(
-            payload.get("alive", 0)
-        )
-        router = payload.get("router") or {}
-        if isinstance(router, Mapping):
-            for key, value in router.items():
-                if isinstance(value, Mapping):
-                    for worker, depth in value.items():
-                        self.gauge(
-                            f"{prefix}_router_{key}",
-                            f"Router {key}",
-                            worker=worker,
-                        ).set(depth)
-                else:
-                    self.counter(
-                        f"{prefix}_router_{key}_total", f"Router {key}"
-                    ).set_total(value)
-        serving = payload.get("serving")
-        if isinstance(serving, Mapping):
-            self.publish_serving_stats(serving, prefix=f"{prefix}_serving")
-        per_worker = payload.get("per_worker") or {}
-        if isinstance(per_worker, Mapping):
-            for worker, worker_payload in per_worker.items():
-                worker_serving = worker_payload.get("serving")
-                if isinstance(worker_serving, Mapping):
-                    self.publish_serving_stats(
-                        worker_serving,
-                        prefix=f"{prefix}_worker_serving",
-                        worker=worker,
-                    )
-                worker_cache = worker_payload.get("cache")
-                if isinstance(worker_cache, Mapping):
-                    self.publish_cache_stats(
-                        worker_cache,
-                        prefix=f"{prefix}_worker_cache",
-                        worker=worker,
-                    )
-
-    def publish_rewrite_provenance(
-        self,
-        payload: Mapping[str, object],
-        prefix: str = "repro_rewrite",
-        **labels,
-    ) -> None:
-        """Publish a ``RewriteProvenance.to_dict()`` payload into the registry.
-
-        Rule firings become a per-rule labelled counter, and the pass count,
-        operators-eliminated total and pruned-rule-scan total become plain
-        counters — one scrape answers "is the rewrite layer actually doing
-        anything, and which rules carry the load".
-
-        Parameters
-        ----------
-        payload:
-            A :meth:`repro.graphs.rewrite.RewriteProvenance.to_dict` snapshot.
-        prefix:
-            Metric-name prefix (`repro_rewrite` by default).
-        """
-        self.counter(
-            f"{prefix}_passes_total", "Rewrite fixpoint passes", **labels
-        ).set_total(payload.get("passes", 0))
-        self.counter(
-            f"{prefix}_ops_eliminated_total", "Operators eliminated", **labels
-        ).set_total(payload.get("ops_eliminated", 0))
-        self.counter(
-            f"{prefix}_rules_pruned_total",
-            "Rule scans skipped by anchor pre-pruning",
-            **labels,
-        ).set_total(payload.get("rules_pruned", 0))
-        fired = payload.get("fired_counts") or {}
-        if isinstance(fired, Mapping):
-            for rule, count in fired.items():
-                self.counter(
-                    f"{prefix}_rule_fired_total",
-                    "Rewrite-rule applications",
-                    rule=rule,
-                    **labels,
-                ).set_total(count)
-
     # -- rendering ------------------------------------------------------- #
     @staticmethod
     def _label_text(key: tuple, extra: str = "") -> str:
@@ -627,9 +393,8 @@ class MetricsRegistry:
         -------
         ::
 
-            registry = MetricsRegistry()
-            registry.publish_serving_stats(stats.to_dict())
-            open("metrics.prom", "w").write(registry.prometheus_text())
+            stats = server.stats               # a ServingStats
+            open("metrics.prom", "w").write(stats.registry.prometheus_text())
         """
         lines: List[str] = []
         for name in sorted(self._metrics):

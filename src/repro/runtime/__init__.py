@@ -11,7 +11,7 @@ traffic without re-paying the fusion search?".  It provides:
 * :mod:`repro.runtime.server` — the :class:`KernelServer` frontend that
   resolves dynamic-shape requests through table → cache → compile;
 * :mod:`repro.runtime.warmup` — suite precompilation ahead of traffic;
-* :mod:`repro.runtime.stats` — request/latency metrics aggregation.
+* :mod:`repro.runtime.stats` — request/latency metrics over registry samples.
 """
 
 from repro.runtime.batch import BatchCompiler, BatchItem, BatchReport
@@ -26,7 +26,7 @@ from repro.runtime.server import (
     KernelServer,
     ServeResponse,
 )
-from repro.runtime.stats import LatencySummary, ServingStats
+from repro.runtime.stats import ServingStats
 from repro.runtime.warmup import (
     WarmupReport,
     default_warmup_workloads,
@@ -44,7 +44,6 @@ __all__ = [
     "DEFAULT_M_BINS",
     "KernelServer",
     "ServeResponse",
-    "LatencySummary",
     "ServingStats",
     "WarmupReport",
     "default_warmup_workloads",

@@ -49,6 +49,7 @@ from repro.errors import CacheEntryError, CorruptCacheEntry, StaleCacheEntry
 from repro.hardware.spec import HardwareSpec
 from repro.ir.graph import GemmChainSpec
 from repro.obs.logging import get_logger, log_event
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.trace import tracer
 from repro.search.engine import SearchSummary
 from repro.search.incremental import (
@@ -231,7 +232,6 @@ class PlanCacheEntry:
             return None
 
 
-@dataclass
 class CacheStats:
     """Hit/miss counters of one :class:`PlanCache`.
 
@@ -243,17 +243,64 @@ class CacheStats:
     ``OSError``).  Each failed load also counts as a miss, so serving
     sources stay truthful; fleet operators watch the failure counters to
     spot cache poisoning or disk trouble.
+
+    The counters are ``repro_cache_<field>_total`` samples of
+    :attr:`registry`; :meth:`inc` records into them and each field reads
+    back as an attribute (``stats.memory_hits``).  The cache increments
+    them under its own lock.
+
+    Example
+    -------
+    >>> stats = CacheStats()
+    >>> stats.inc("disk_hits")
+    >>> stats.disk_hits, stats.hits, stats.to_dict()["hit_rate"]
+    (1, 1, 1.0)
     """
 
-    memory_hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    evictions: int = 0
-    stale_entries: int = 0
-    corrupt_entries: int = 0
-    rejected_entries: int = 0
-    io_errors: int = 0
+    def __init__(self) -> None:
+        #: The registry holding the nine counters.
+        self.registry = registry = MetricsRegistry()
+        # Insertion order is the pinned to_dict() key order.
+        self._counters: Dict[str, Counter] = {
+            "memory_hits": registry.counter(
+                "repro_cache_memory_hits_total", "Plan-cache memory-tier hits"
+            ),
+            "disk_hits": registry.counter(
+                "repro_cache_disk_hits_total", "Plan-cache disk-tier hits"
+            ),
+            "misses": registry.counter(
+                "repro_cache_misses_total", "Plan-cache misses"
+            ),
+            "stores": registry.counter(
+                "repro_cache_stores_total", "Plan-cache stores"
+            ),
+            "evictions": registry.counter(
+                "repro_cache_evictions_total", "Memory-tier LRU evictions"
+            ),
+            "stale_entries": registry.counter(
+                "repro_cache_stale_entries_total", "Old-format disk entries"
+            ),
+            "corrupt_entries": registry.counter(
+                "repro_cache_corrupt_entries_total", "Unparseable disk entries"
+            ),
+            "rejected_entries": registry.counter(
+                "repro_cache_rejected_entries_total", "Entries the verifier refused"
+            ),
+            "io_errors": registry.counter(
+                "repro_cache_io_errors_total", "Disk reads/writes that raised"
+            ),
+        }
+
+    def inc(self, name: str) -> None:
+        """Count one ``name`` event (``"memory_hits"``, ``"io_errors"``...)."""
+        self._counters[name].inc()
+
+    def __getattr__(self, name: str) -> int:
+        try:
+            counter = self.__dict__["_counters"][name]
+        except KeyError:
+            raise AttributeError(name) from None
+        return int(counter.value)
 
     @property
     def hits(self) -> int:
@@ -271,22 +318,11 @@ class CacheStats:
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-dictionary view of the counters (pinned key order)."""
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "stale_entries": self.stale_entries,
-            "corrupt_entries": self.corrupt_entries,
-            "rejected_entries": self.rejected_entries,
-            "io_errors": self.io_errors,
-            "hit_rate": self.hit_rate(),
+        payload: Dict[str, object] = {
+            name: int(counter.value) for name, counter in self._counters.items()
         }
-
-    def snapshot(self) -> Dict[str, object]:
-        """Alias of :meth:`to_dict` (symmetry with ``ServingStats``)."""
-        return self.to_dict()
+        payload["hit_rate"] = self.hit_rate()
+        return payload
 
 
 class PlanCache:
@@ -324,7 +360,7 @@ class PlanCache:
         with FlashFuser(cache=cache) as compiler:
             compiler.compile_workload("G4")     # cold: search + store
             compiler.compile_workload("G4")     # warm: memory-tier hit
-        print(cache.stats.snapshot())           # hits, misses, tiers
+        print(cache.stats.to_dict())            # hits, misses, tiers
         # A new process pointing at the same directory starts warm (disk tier).
     """
 
@@ -380,23 +416,23 @@ class PlanCache:
                 entry = self._entries.get(key)
                 if entry is not None:
                     self._entries.move_to_end(key)
-                    self.stats.memory_hits += 1
+                    self.stats.inc("memory_hits")
                     span.set("tier", TIER_MEMORY)
                     return entry
             entry = self._read_disk(key)
             with self._lock:
                 if entry is not None:
-                    self.stats.disk_hits += 1
+                    self.stats.inc("disk_hits")
                     self._remember(key, entry)
                     span.set("tier", TIER_DISK)
                     return entry
                 promoted = self._entries.get(key)
                 if promoted is not None:
                     self._entries.move_to_end(key)
-                    self.stats.memory_hits += 1
+                    self.stats.inc("memory_hits")
                     span.set("tier", TIER_MEMORY)
                     return promoted
-                self.stats.misses += 1
+                self.stats.inc("misses")
                 span.set("tier", None)
                 return None
 
@@ -411,12 +447,12 @@ class PlanCache:
         """
         with self._lock:
             self._remember(key, entry)
-            self.stats.stores += 1
+            self.stats.inc("stores")
             if write_disk and self.directory is not None:
                 try:
                     self._write_disk(key, entry)
                 except OSError:
-                    self.stats.io_errors += 1
+                    self.stats.inc("io_errors")
 
     def tier_of(self, key: str) -> Optional[str]:
         """Which tier currently holds ``key`` (without counting a lookup)."""
@@ -500,7 +536,7 @@ class PlanCache:
             kernel = self._kernels.get(memo_key)
             if kernel is not None:
                 self._kernels.move_to_end(memo_key)
-                self.stats.memory_hits += 1
+                self.stats.inc("memory_hits")
                 return kernel
         entry = self.get(key)
         if entry is None:
@@ -583,7 +619,7 @@ class PlanCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_memory_entries:
             evicted_key, _ = self._entries.popitem(last=False)
-            self.stats.evictions += 1
+            self.stats.inc("evictions")
             # Drop rehydrated kernels belonging to the evicted entry too.
             for memo_key in [k for k in self._kernels if k[0] == evicted_key]:
                 del self._kernels[memo_key]
@@ -611,23 +647,23 @@ class PlanCache:
             return None
         except OSError:
             with self._lock:
-                self.stats.io_errors += 1
+                self.stats.inc("io_errors")
             return None
         try:
             entry = PlanCacheEntry.parse(blob)
         except StaleCacheEntry:
             with self._lock:
-                self.stats.stale_entries += 1
+                self.stats.inc("stale_entries")
             return None
         except CorruptCacheEntry:
             with self._lock:
-                self.stats.corrupt_entries += 1
+                self.stats.inc("corrupt_entries")
             return None
         if self._verifier is not None:
             violations = self._verifier.verify_entry(entry, expected_key=key)
             if violations:
                 with self._lock:
-                    self.stats.rejected_entries += 1
+                    self.stats.inc("rejected_entries")
                 log_event(
                     _logger,
                     "cache-entry-rejected",

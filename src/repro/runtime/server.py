@@ -236,44 +236,11 @@ class KernelServer:
         with tracer().span(
             "server.request", workload=key, m=runtime_m, bin=bin_m
         ) as span:
-            if not plan_neutral:
+            if plan_neutral:
+                kernel, source = self._resolve_binned(key, base, bin_m, overrides)
+            else:
                 binned = base.scaled(m=bin_m, name=f"{base.name}_m{bin_m}")
                 kernel, source = self._resolve_miss(binned, overrides)
-                latency_us = (time.perf_counter() - start) * 1e6
-                self.stats.record_request(key, source, latency_us)
-                span.set("source", source)
-                return ServeResponse(
-                    workload=key,
-                    m=runtime_m,
-                    bin_m=bin_m,
-                    kernel=kernel,
-                    source=source,
-                    latency_us=latency_us,
-                    search_counters=_search_counters(kernel, source),
-                    phase_times_us=_phase_times(kernel, source),
-                )
-            with self._lock:
-                table = self._tables.setdefault(key, KernelTable(chain=base))
-                kernel = table.kernels.get(bin_m)
-            source = SOURCE_TABLE
-            if kernel is None:
-                with self._lock:
-                    inflight = self._inflight.setdefault(
-                        (key, bin_m),
-                        make_lock(f"kernel-server.inflight[{key}:{bin_m}]"),
-                    )
-                with inflight:
-                    # Another request may have resolved this bin while we
-                    # waited.
-                    with self._lock:
-                        kernel = table.kernels.get(bin_m)
-                    if kernel is None:
-                        binned = base.scaled(
-                            m=bin_m, name=f"{base.name}_m{bin_m}"
-                        )
-                        kernel, source = self._resolve_miss(binned, overrides)
-                        with self._lock:
-                            table.kernels[bin_m] = kernel
             latency_us = (time.perf_counter() - start) * 1e6
             self.stats.record_request(key, source, latency_us)
             span.set("source", source)
@@ -287,6 +254,36 @@ class KernelServer:
                 search_counters=_search_counters(kernel, source),
                 phase_times_us=_phase_times(kernel, source),
             )
+
+    def _resolve_binned(
+        self, key: str, base: GemmChainSpec, bin_m: int, overrides: Dict[str, object]
+    ) -> Tuple[CompiledKernel, str]:
+        """Serve ``(key, bin_m)`` from its kernel table, filling it on a miss.
+
+        A miss resolves under the bin's in-flight lock, so concurrent
+        requests for one bin wait for a single resolution.
+        """
+        with self._lock:
+            table = self._tables.setdefault(key, KernelTable(chain=base))
+            kernel = table.kernels.get(bin_m)
+        if kernel is not None:
+            return kernel, SOURCE_TABLE
+        with self._lock:
+            inflight = self._inflight.setdefault(
+                (key, bin_m),
+                make_lock(f"kernel-server.inflight[{key}:{bin_m}]"),
+            )
+        with inflight:
+            # Another request may have resolved this bin while we waited.
+            with self._lock:
+                kernel = table.kernels.get(bin_m)
+            if kernel is not None:
+                return kernel, SOURCE_TABLE
+            binned = base.scaled(m=bin_m, name=f"{base.name}_m{bin_m}")
+            kernel, source = self._resolve_miss(binned, overrides)
+            with self._lock:
+                table.kernels[bin_m] = kernel
+            return kernel, source
 
     # ------------------------------------------------------------------ #
     # Warmup and introspection
@@ -332,9 +329,9 @@ class KernelServer:
 
     def snapshot(self) -> Dict[str, object]:
         """Combined serving and cache metrics."""
-        payload: Dict[str, object] = {"serving": self.stats.snapshot()}
+        payload: Dict[str, object] = {"serving": self.stats.to_dict()}
         if self.cache is not None:
-            payload["cache"] = self.cache.stats.snapshot()
+            payload["cache"] = self.cache.stats.to_dict()
         with self._lock:
             payload["tables"] = {
                 workload_id: table.bins()

@@ -3,125 +3,48 @@
 :class:`ServingStats` is the metrics sink shared by the runtime layer — the
 :class:`~repro.runtime.server.KernelServer` records every request's
 resolution source (kernel table, plan cache tier, or on-demand compile) and
-its wall-clock resolution latency.  Snapshots are plain dictionaries so they
-can be logged, asserted on in tests, or exported to any metrics backend.
+its wall-clock resolution latency.  The samples live in the sink's
+:class:`~repro.obs.metrics.MetricsRegistry` (``stats.registry``), the one
+store every view reads: :meth:`ServingStats.to_dict` derives its counts and
+latency summaries from the same histograms a Prometheus scrape renders.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import Counter
-from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
 from repro.analysis.locks import make_lock
-from repro.obs.metrics import bucket_index, histogram_quantile
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
 
-@dataclass
-class LatencySummary:
-    """Streaming aggregate of one latency series (microseconds).
-
-    Beyond count/mean/min/max, every observation lands in one of the fixed
-    log-spaced buckets of :func:`repro.obs.metrics.bucket_index`, so
-    :meth:`merge` composes *exactly* — two workers' summaries add bucket
-    counts, and the merged p50/p95 equal the percentiles of the union —
-    which is what lets fleet-wide snapshots report honest percentiles.
-    """
-
-    count: int = 0
-    total_us: float = 0.0
-    min_us: float = float("inf")
-    max_us: float = 0.0
-    #: Sparse log-bucket counts ({bucket index -> observations}).
-    buckets: Dict[int, int] = field(default_factory=dict)
-
-    def record(self, latency_us: float) -> None:
-        """Fold one observation into the aggregate."""
-        if latency_us < 0:
-            raise ValueError("latency_us must be non-negative")
-        self.count += 1
-        self.total_us += latency_us
-        self.min_us = min(self.min_us, latency_us)
-        self.max_us = max(self.max_us, latency_us)
-        index = bucket_index(latency_us)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
-
-    @property
-    def mean_us(self) -> float:
-        """Average latency, 0.0 before any observation."""
-        return self.total_us / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Bucket-estimated percentile, clamped to the observed extremes.
-
-        Exact under :meth:`merge`: the estimate depends only on the summed
-        bucket counts and the true min/max, all of which compose losslessly.
-        """
-        if not self.count:
-            return 0.0
-        return histogram_quantile(
-            self.buckets, q, min_value=self.min_us, max_value=self.max_us
-        )
-
-    def merge(self, other: "LatencySummary") -> "LatencySummary":
-        """Fold ``other``'s observations into this aggregate (returns self)."""
-        if other.count:
-            self.count += other.count
-            self.total_us += other.total_us
-            self.min_us = min(self.min_us, other.min_us)
-            self.max_us = max(self.max_us, other.max_us)
-            for index, observations in other.buckets.items():
-                self.buckets[index] = self.buckets.get(index, 0) + observations
-        return self
-
-    def snapshot(self) -> Dict[str, float]:
-        """Plain-dictionary view of the aggregate (pinned key order)."""
-        return {
-            "count": self.count,
-            "mean_us": self.mean_us,
-            "min_us": self.min_us if self.count else 0.0,
-            "max_us": self.max_us,
-            "p50_us": self.quantile(50),
-            "p95_us": self.quantile(95),
-            "buckets": {
-                str(index): self.buckets[index]
-                for index in sorted(self.buckets)
-            },
-        }
-
-    @classmethod
-    def from_snapshot(cls, payload: Mapping[str, float]) -> "LatencySummary":
-        """Rebuild an aggregate from its :meth:`snapshot` form.
-
-        Tolerates payloads written before the histogram fields existed
-        (their percentiles degrade to the min/max clamp of an empty bucket
-        set).
-        """
-        count = int(payload["count"])
-        mean_us = float(payload["mean_us"])
-        raw_buckets = payload.get("buckets") or {}
-        return cls(
-            count=count,
-            total_us=mean_us * count,
-            min_us=float(payload["min_us"]) if count else float("inf"),
-            max_us=float(payload["max_us"]),
-            buckets={
-                int(index): int(observations)
-                for index, observations in dict(raw_buckets).items()
-            },
-        )
+def _latency_summary(histogram: Histogram) -> Dict[str, object]:
+    """The ``latency_us`` view of one histogram (pinned key order)."""
+    return {
+        "count": histogram.count,
+        "mean_us": histogram.total / histogram.count if histogram.count else 0.0,
+        "min_us": histogram.min if histogram.count else 0.0,
+        "max_us": histogram.max,
+        "p50_us": histogram.quantile(50),
+        "p95_us": histogram.quantile(95),
+        "buckets": {
+            str(index): histogram.buckets[index]
+            for index in sorted(histogram.buckets)
+        },
+    }
 
 
 class ServingStats:
     """Thread-safe request metrics for the kernel-serving frontend.
 
-    Tracks total requests, per-source and per-workload counts, and a
-    :class:`LatencySummary` per resolution source.  A request is a *hit*
-    when it was satisfied without running a fusion search (table or cache
-    sources); every compile source — the on-demand exact ``"compiled"``
-    search and its warm-started ``"compiled:transfer"`` variant — is a
-    miss.
+    Each request is recorded once: one observation on the per-source
+    ``repro_serving_latency_us{source=}`` histogram and one increment of
+    the ``repro_serving_requests_by_workload_total{workload=}`` counter,
+    both samples of :attr:`registry`.  Request, hit and miss counts, the
+    per-source breakdown and the overall latency are derived from the
+    per-source histograms when read.  A request is a *hit* when it was
+    satisfied without running a fusion search (table or cache sources);
+    every compile source — the on-demand exact ``"compiled"`` search and
+    its warm-started ``"compiled:transfer"`` variant — is a miss.
 
     Example
     -------
@@ -161,11 +84,7 @@ class ServingStats:
 
     def __init__(self) -> None:
         self._lock = make_lock("serving-stats")
-        self.requests = 0
-        self.by_source: Counter = Counter()
-        self.by_workload: Counter = Counter()
-        self.latency: Dict[str, LatencySummary] = {}
-        self.overall_latency = LatencySummary()
+        self.reset()
 
     # ------------------------------------------------------------------ #
     # Recording
@@ -173,23 +92,43 @@ class ServingStats:
     def record_request(self, workload: str, source: str, latency_us: float) -> None:
         """Record one served request."""
         with self._lock:
-            self.requests += 1
-            self.by_source[source] += 1
-            self.by_workload[workload] += 1
-            self.latency.setdefault(source, LatencySummary()).record(latency_us)
-            self.overall_latency.record(latency_us)
+            latency = self._latency.get(source)
+            if latency is None:
+                latency = self.registry.histogram(
+                    "repro_serving_latency_us",
+                    "Request resolution latency by source (log buckets)",
+                    source=source,
+                )
+                self._latency[source] = latency
+            latency.observe(latency_us)
+            requests = self._workloads.get(workload)
+            if requests is None:
+                requests = self.registry.counter(
+                    "repro_serving_requests_by_workload_total",
+                    "Requests served by workload",
+                    workload=workload,
+                )
+                self._workloads[workload] = requests
+            requests.inc()
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
     @property
+    def by_source(self) -> Dict[str, int]:
+        """Requests per resolution source, key-sorted."""
+        with self._lock:
+            return self._by_source()
+
+    @property
+    def requests(self) -> int:
+        """Requests served."""
+        return sum(self.by_source.values())
+
+    @property
     def misses(self) -> int:
         """Requests that fell through to an on-demand fusion search."""
-        return sum(
-            count
-            for source, count in self.by_source.items()
-            if self.is_compile_source(source)
-        )
+        return self._misses(self.by_source)
 
     @property
     def hits(self) -> int:
@@ -198,91 +137,9 @@ class ServingStats:
 
     def hit_rate(self) -> float:
         """Fraction of requests served without a search (0.0 when idle)."""
-        return self.hits / self.requests if self.requests else 0.0
-
-    def merge(self, other: "ServingStats") -> "ServingStats":
-        """Fold ``other``'s counters into this sink (returns self).
-
-        This is how fleet-level aggregation works: each worker process keeps
-        its own :class:`ServingStats` and the fleet merges the per-worker
-        sinks into one view instead of doing ad-hoc dictionary math.  Counts
-        add, per-source/per-workload histograms union, and latency summaries
-        combine exactly (count/total/min/max compose losslessly).  ``other``
-        is read under its own lock, so merging a live sink is safe.
-
-        Example
-        -------
-        >>> a, b = ServingStats(), ServingStats()
-        >>> a.record_request("G4", "compiled", 900.0)
-        >>> b.record_request("G4", "table", 30.0)
-        >>> merged = a.merge(b)
-        >>> merged.requests, merged.hit_rate()
-        (2, 0.5)
-        """
-        if other is self:
-            raise ValueError("cannot merge a ServingStats into itself")
-        with other._lock:
-            other_requests = other.requests
-            other_by_source = Counter(other.by_source)
-            other_by_workload = Counter(other.by_workload)
-            other_latency = {
-                source: LatencySummary(
-                    count=summary.count,
-                    total_us=summary.total_us,
-                    min_us=summary.min_us,
-                    max_us=summary.max_us,
-                    buckets=dict(summary.buckets),
-                )
-                for source, summary in other.latency.items()
-            }
-            other_overall = LatencySummary(
-                count=other.overall_latency.count,
-                total_us=other.overall_latency.total_us,
-                min_us=other.overall_latency.min_us,
-                max_us=other.overall_latency.max_us,
-                buckets=dict(other.overall_latency.buckets),
-            )
-        with self._lock:
-            self.requests += other_requests
-            self.by_source.update(other_by_source)
-            self.by_workload.update(other_by_workload)
-            for source, summary in other_latency.items():
-                self.latency.setdefault(source, LatencySummary()).merge(summary)
-            self.overall_latency.merge(other_overall)
-        return self
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "ServingStats":
-        """Rebuild a sink from its :meth:`to_dict` form.
-
-        The round trip is exact — ``ServingStats.from_dict(s.to_dict())``
-        serializes identically to ``s`` — which is what lets worker
-        processes ship their stats across a process boundary as plain JSON
-        and still :meth:`merge` them like live objects.
-
-        Example
-        -------
-        >>> stats = ServingStats()
-        >>> stats.record_request("G4", "table", 42.0)
-        >>> ServingStats.from_dict(stats.to_dict()).to_dict() == stats.to_dict()
-        True
-        """
-        stats = cls()
-        stats.requests = int(payload["requests"])
-        stats.by_source = Counter(
-            {str(k): int(v) for k, v in dict(payload["by_source"]).items()}
-        )
-        stats.by_workload = Counter(
-            {str(k): int(v) for k, v in dict(payload["by_workload"]).items()}
-        )
-        stats.latency = {
-            str(source): LatencySummary.from_snapshot(summary)
-            for source, summary in dict(payload["latency_us"]).items()
-        }
-        stats.overall_latency = LatencySummary.from_snapshot(
-            payload["overall_latency_us"]
-        )
-        return stats
+        by_source = self.by_source
+        requests = sum(by_source.values())
+        return (requests - self._misses(by_source)) / requests if requests else 0.0
 
     def to_dict(self) -> Dict[str, object]:
         """Every counter and latency aggregate, with a stable key order.
@@ -303,35 +160,52 @@ class ServingStats:
         ['table']
         """
         with self._lock:
+            by_source = self._by_source()
+            requests = sum(by_source.values())
+            misses = self._misses(by_source)
             return {
-                "requests": self.requests,
-                "hits": self.hits,
-                "misses": self.misses,
-                "hit_rate": self.hit_rate(),
-                "by_source": {
-                    source: self.by_source[source]
-                    for source in sorted(self.by_source)
-                },
+                "requests": requests,
+                "hits": requests - misses,
+                "misses": misses,
+                "hit_rate": (requests - misses) / requests if requests else 0.0,
+                "by_source": by_source,
                 "by_workload": {
-                    workload: self.by_workload[workload]
-                    for workload in sorted(self.by_workload)
+                    workload: int(self._workloads[workload].value)
+                    for workload in sorted(self._workloads)
                 },
                 "latency_us": {
-                    source: self.latency[source].snapshot()
-                    for source in sorted(self.latency)
+                    source: _latency_summary(self._latency[source])
+                    for source in sorted(self._latency)
                 },
-                "overall_latency_us": self.overall_latency.snapshot(),
+                "overall_latency_us": _latency_summary(self._overall()),
             }
 
-    def snapshot(self) -> Dict[str, object]:
-        """Alias for :meth:`to_dict` (the runtime layer's historical name)."""
-        return self.to_dict()
-
     def reset(self) -> None:
-        """Zero every counter."""
+        """Zero every counter (a fresh :attr:`registry`)."""
         with self._lock:
-            self.requests = 0
-            self.by_source.clear()
-            self.by_workload.clear()
-            self.latency.clear()
-            self.overall_latency = LatencySummary()
+            #: The registry holding every sample this sink records.
+            self.registry = MetricsRegistry()
+            self._latency: Dict[str, Histogram] = {}
+            self._workloads: Dict[str, Counter] = {}
+
+    # ------------------------------------------------------------------ #
+    # Internals (callers of the underscored readers hold the lock)
+    # ------------------------------------------------------------------ #
+    def _by_source(self) -> Dict[str, int]:
+        return {
+            source: self._latency[source].count for source in sorted(self._latency)
+        }
+
+    def _overall(self) -> Histogram:
+        overall = Histogram()
+        for source in sorted(self._latency):
+            overall.merge(self._latency[source])
+        return overall
+
+    @classmethod
+    def _misses(cls, by_source: Mapping[str, int]) -> int:
+        return sum(
+            count
+            for source, count in by_source.items()
+            if cls.is_compile_source(source)
+        )

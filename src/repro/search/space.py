@@ -16,7 +16,7 @@ first row).  :func:`initial_space_size` reproduces that count analytically;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.dataflow.loop_schedule import (
     LoopSchedule,
@@ -185,36 +185,6 @@ class SearchSpace:
                             gated_sequential=gated_sequential,
                         )
 
-    def candidates_range(
-        self,
-        chain: GemmChainSpec,
-        start: int,
-        stop: int,
-        components: Optional["SpaceComponents"] = None,
-    ) -> Iterator[Tuple[int, FusionCandidate]]:
-        """Yield ``(global_index, candidate)`` for one slice of the space.
-
-        Candidates carry the index they occupy in the full :meth:`candidates`
-        stream, so disjoint ``[start, stop)`` ranges partition the space
-        deterministically: concatenating the slices in index order
-        reproduces the serial enumeration exactly.
-        """
-        parts = components or self.components(chain)
-        total = parts.size
-        start = max(0, start)
-        stop = min(total, stop)
-        for index in range(start, stop):
-            schedule_index, geometry_index, tile_index, gated_index = parts.decompose(
-                index
-            )
-            yield index, FusionCandidate(
-                chain=chain,
-                schedule=parts.schedules[schedule_index],
-                tile=parts.tiles[tile_index],
-                geometry=parts.geometries[geometry_index],
-                gated_sequential=parts.gated_modes[gated_index],
-            )
-
     def components(self, chain: GemmChainSpec) -> "SpaceComponents":
         """The materialised component lists behind :meth:`candidates`."""
         gated_modes: Tuple[bool, ...] = (False,)
@@ -265,10 +235,10 @@ class SpaceComponents:
     def decompose(self, index: int) -> Tuple[int, int, int, int]:
         """Component indices ``(schedule, geometry, tile, gated)`` at ``index``.
 
-        The enumeration-order contract: :meth:`SearchSpace.candidates_range`
-        maps global indices through this method, and the pruning cascade's
-        survivor indices (:meth:`~repro.search.pruning.Pruner.cascade`)
-        follow the same nesting.
+        The enumeration-order contract: the pruning cascade's survivor
+        indices (:meth:`~repro.search.pruning.Pruner.cascade`) follow the
+        nesting of :meth:`SearchSpace.candidates`, and
+        ``tests/test_search_cascade.py`` pins the two against each other.
         """
         remainder, gated_index = divmod(index, len(self.gated_modes))
         remainder, tile_index = divmod(remainder, len(self.tiles))

@@ -137,10 +137,6 @@ class TestCacheStatsSchema:
             "hit_rate",
         ]
 
-    def test_snapshot_aliases_to_dict(self):
-        stats = CacheStats(memory_hits=3, io_errors=2)
-        assert stats.snapshot() == stats.to_dict()
-
     def test_server_snapshot_surfaces_failure_counters(self, tmp_path):
         server = KernelServer(cache=str(tmp_path), m_bins=(128,))
         payload = server.snapshot()["cache"]
@@ -327,6 +323,24 @@ class TestAnalysisCli:
 # --------------------------------------------------------------------- #
 # Repo-invariant linter
 # --------------------------------------------------------------------- #
+_RECORD_X = "def record(registry):\n    registry.counter('repro_x_total').inc()\n"
+
+
+def _metric_tree(tmp_path, modules):
+    """A ``src/repro`` tree with ``modules`` beside a one-row catalog."""
+    root = tmp_path / "src" / "repro"
+    root.mkdir(parents=True)
+    (root / "config.py").write_text("class FuserConfig:\n    pass\n")
+    for name, source in modules.items():
+        (root / name).write_text(source)
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "OBSERVABILITY.md").write_text(
+        "| Metric | Type |\n| --- | --- |\n| `repro_x_total` | counter |\n"
+    )
+    return root
+
+
 class TestLinter:
     @pytest.fixture()
     def linter(self):
@@ -454,6 +468,31 @@ class TestLinter:
 
     def test_repo_holds_its_own_invariants(self):
         assert run_repo_lint() == []
+
+    def test_metric_names_clean_tree(self, tmp_path):
+        root = _metric_tree(tmp_path, {"a.py": _RECORD_X})
+        assert run_repo_lint(package_root=root) == []
+
+    def test_metric_names_duplicate_site_flagged(self, tmp_path):
+        root = _metric_tree(tmp_path, {"a.py": _RECORD_X, "b.py": _RECORD_X})
+        found = run_repo_lint(package_root=root)
+        assert [v.check for v in found] == ["metric-names"]
+        assert found[0].path.endswith("b.py")
+        assert "exactly one recording site" in found[0].message
+
+    def test_metric_names_uncatalogued_name_flagged(self, tmp_path):
+        source = _RECORD_X + "    registry.gauge('repro_y')\n"
+        root = _metric_tree(tmp_path, {"a.py": source})
+        found = run_repo_lint(package_root=root)
+        assert [v.check for v in found] == ["metric-names"]
+        assert "'repro_y' is missing from the catalog" in found[0].message
+
+    def test_metric_names_catalog_row_without_site_flagged(self, tmp_path):
+        root = _metric_tree(tmp_path, {"a.py": "X = 1\n"})
+        found = run_repo_lint(package_root=root)
+        assert [v.check for v in found] == ["metric-names"]
+        assert found[0].path.endswith("OBSERVABILITY.md")
+        assert "has no recording site" in found[0].message
 
     def test_violation_rendering(self, linter):
         found = linter.lint_source(

@@ -157,11 +157,6 @@ class TestSchemaStability:
         assert list(payload["by_source"]) == ["compiled", "table"]
         assert list(payload["latency_us"]) == ["compiled", "table"]
 
-    def test_serving_stats_snapshot_is_to_dict(self):
-        stats = ServingStats()
-        stats.record_request("G4", "table", 10.0)
-        assert stats.snapshot() == stats.to_dict()
-
     def test_serving_stats_equal_state_serializes_identically(self):
         first, second = ServingStats(), ServingStats()
         # Same state reached through different insertion orders.

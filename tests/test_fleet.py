@@ -65,42 +65,12 @@ class TestFleetConfig:
 
 
 # --------------------------------------------------------------------- #
-# Stats merging and schema
+# Stats schema
 # --------------------------------------------------------------------- #
-class TestServingStatsMerge:
-    def test_merge_folds_counts_and_latency(self):
-        a, b = ServingStats(), ServingStats()
-        a.record_request("G1", "compiled", 900.0)
-        a.record_request("G1", "table", 10.0)
-        b.record_request("G2", "table", 30.0)
-        b.record_request("G1", "cache:disk", 50.0)
-        merged = a.merge(b)
-        assert merged is a
-        assert merged.requests == 4
-        assert merged.by_source == {"compiled": 1, "table": 2, "cache:disk": 1}
-        assert merged.by_workload == {"G1": 3, "G2": 1}
-        assert merged.latency["table"].count == 2
-        assert merged.latency["table"].min_us == 10.0
-        assert merged.latency["table"].max_us == 30.0
-        assert merged.overall_latency.count == 4
-        assert merged.hit_rate() == pytest.approx(3 / 4)
-
-    def test_merge_rejects_self(self):
-        stats = ServingStats()
-        with pytest.raises(ValueError):
-            stats.merge(stats)
-
-    def test_from_dict_round_trip_is_exact(self):
-        stats = ServingStats()
-        stats.record_request("G4", "compiled", 1234.5)
-        stats.record_request("G4", "table", 5.5)
-        stats.record_request("G7", "cache:memory", 17.0)
-        payload = stats.to_dict()
-        assert ServingStats.from_dict(payload).to_dict() == payload
-
+class TestServingStatsSchema:
     def test_to_dict_schema_is_pinned(self):
-        # The serialized schema is a contract: fleet workers ship this
-        # across the process boundary and CI artifacts diff it.
+        # The serialized schema is a contract: the fleet's front end ships
+        # it in FleetStats and CI artifacts diff it.
         stats = ServingStats()
         stats.record_request("G9", "table", 2.0)
         stats.record_request("G1", "compiled", 800.0)
@@ -118,16 +88,6 @@ class TestServingStatsMerge:
         assert list(payload["by_source"]) == sorted(payload["by_source"])
         assert list(payload["by_workload"]) == sorted(payload["by_workload"])
         assert list(payload["latency_us"]) == sorted(payload["latency_us"])
-        merged = ServingStats().merge(stats)
-        assert merged.to_dict() == payload
-
-    def test_merge_order_independent_serialization(self):
-        a, b = ServingStats(), ServingStats()
-        a.record_request("G1", "table", 10.0)
-        b.record_request("G2", "compiled", 500.0)
-        ab = ServingStats().merge(a).merge(b).to_dict()
-        ba = ServingStats().merge(b).merge(a).to_dict()
-        assert ab == ba
 
 
 class TestFleetStats:
@@ -171,7 +131,7 @@ class TestFleetStats:
         payload = stats.to_dict()
         assert payload["serving"] == _serving_payload(0)
         assert payload["models"] == _serving_payload(1)
-        assert ServingStats.from_dict(payload["serving"]).requests == 1
+        assert payload["serving"]["requests"] == 1
         assert stats.restarts == 0
 
 
@@ -182,7 +142,7 @@ def _serving_payload(extra: int) -> dict:
 
 
 def _dispatched(fleet) -> int:
-    return fleet.stats(timeout=5.0).router["dispatched"]
+    return fleet.stats().router["dispatched"]
 
 
 # --------------------------------------------------------------------- #
@@ -242,6 +202,7 @@ class TestFleetServing:
             fleet.request("G4", None)
 
     def test_stats_snapshot_shape(self, fleet):
+        assert fleet.serve("G4", m=100).ok
         stats = fleet.stats()
         assert isinstance(stats, FleetStats)
         assert stats.workers == 2
@@ -339,7 +300,7 @@ class TestFleetStartup:
         fleet = ServingFleet(config).start(wait=False)
         try:
             time.sleep(3.0)
-            restarts = fleet.stats(timeout=1.0).restarts
+            restarts = fleet.stats().restarts
         finally:
             fleet.close()
         # Delays 0, 0.1, 0.2, 0.4, 0.8, 1.6 s: at most six respawns fit in
@@ -387,6 +348,38 @@ class TestFleetBackpressure:
             blocker.join(timeout=60.0)
 
 
+class TestPushedStats:
+    def test_stats_never_wait_on_a_stopped_worker(self):
+        config = FleetConfig(workers=1, health_interval_s=0.1)
+        with ServingFleet(config) as fleet:
+            # Stop the only worker first, so the G8 compile is certainly
+            # still in flight when the snapshot is taken.
+            process = fleet._handles[0].process
+            os.kill(process.pid, signal.SIGSTOP)
+            try:
+                blocker = threading.Thread(
+                    target=lambda: fleet.serve("G8", m=64), daemon=True
+                )
+                blocker.start()
+                assert _wait(lambda: len(fleet._pending) >= 1)
+                begin = time.monotonic()
+                stats = fleet.stats()
+                elapsed = time.monotonic() - begin
+            finally:
+                os.kill(process.pid, signal.SIGCONT)
+            assert elapsed < 0.5
+            router = stats.to_dict()["router"]
+            assert list(router) == list(ROUTER_KEYS)
+            assert router["inflight"] == 1
+            assert router["queue_depth"] == {"0": 1}
+            # The payload the worker pushed with its ready report.
+            assert stats.per_worker["0"]["compiles"] == 0
+            assert stats.per_worker["0"]["incarnation"] == 0
+            blocker.join(timeout=120.0)
+            # The compile result pushed a fresh payload.
+            assert fleet.stats().per_worker["0"]["compiles"] == 1
+
+
 class TestFleetFailover:
     # Failover tests use the default (slower) search knobs on purpose:
     # the compile must still be in flight when the kill lands.
@@ -422,7 +415,7 @@ class TestFleetFailover:
             assert stats["router"]["failovers"] >= 1
             assert stats["router"]["retried"] >= 3
             # The dead worker was restarted and serves again.
-            assert _wait(lambda: fleet.stats(timeout=5.0).alive == 2)
+            assert _wait(lambda: fleet.stats().alive == 2)
             revived = fleet.request("G1", 64, worker=0)
             assert revived.ok
 
@@ -446,7 +439,7 @@ class TestFleetFailover:
             assert results[0].status == "error"
             assert "failover budget" in results[0].error
             assert _wait(
-                lambda: fleet.stats(timeout=5.0).to_dict()["router"]["restarts"]
+                lambda: fleet.stats().to_dict()["router"]["restarts"]
                 >= 1
             )
 

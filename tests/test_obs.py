@@ -44,7 +44,8 @@ from repro.obs.summary import (
 )
 from repro.obs.trace import SpanContext, Tracer, tracer
 from repro.runtime.server import KernelServer
-from repro.runtime.stats import LatencySummary, ServingStats
+from repro.runtime.cache import PlanCache
+from repro.runtime.stats import ServingStats
 
 #: Cheapest search knobs — some tests pay real compiles.
 FAST = dict(top_k=1, max_tile=64)
@@ -165,18 +166,42 @@ class TestMetricsRegistry:
         ]
         assert bucket_lines[-1].endswith(" 3")
 
-    def test_publish_serving_stats_round_trip(self):
+    def test_serving_stats_registry_agrees_with_to_dict(self):
         stats = ServingStats()
-        stats.record_request("G1", "table", 10.0)
-        stats.record_request("G1", "compiled", 900.0)
-        registry = MetricsRegistry()
-        registry.publish_serving_stats(stats.to_dict())
-        snapshot = registry.snapshot()
+        for workload, source, latency_us in (
+            ("G1", "table", 10.0),
+            ("G1", "compiled", 900.0),
+            ("G4", "table", 35.0),
+        ):
+            stats.record_request(workload, source, latency_us)
+        payload = stats.to_dict()
+        text = stats.registry.prometheus_text()
+        for source, count in payload["by_source"].items():
+            line = f'repro_serving_latency_us_count{{source="{source}"}} {count}'
+            assert line in text
+        for workload, count in payload["by_workload"].items():
+            label = f'{{workload="{workload}"}}'
+            assert f"repro_serving_requests_by_workload_total{label} {count}" in text
+        for source, summary in payload["latency_us"].items():
+            total = summary["mean_us"] * summary["count"]
+            line = f'repro_serving_latency_us_sum{{source="{source}"}} {total:g}'
+            assert line in text
+        snapshot = stats.registry.snapshot()
         assert list(snapshot) == ["counters", "gauges", "histograms"]
-        assert snapshot["counters"]["repro_serving_requests_total"] == 2
-        overall = snapshot["histograms"]["repro_serving_overall_latency_us"]
-        assert overall["count"] == 2
-        assert overall["p50"] == stats.overall_latency.quantile(50)
+        histograms = snapshot["histograms"]
+        assert sum(h["count"] for h in histograms.values()) == payload["requests"]
+
+    def test_cache_stats_registry_agrees_with_to_dict(self, tmp_path):
+        cache = PlanCache(directory=tmp_path)
+        cache.get("0" * 64)
+        (tmp_path / ("1" * 64 + ".json")).write_text("{torn", encoding="utf-8")
+        cache.get("1" * 64)
+        text = cache.stats.registry.prometheus_text()
+        payload = cache.stats.to_dict()
+        assert payload["misses"] == 2 and payload["corrupt_entries"] == 1
+        for field, value in payload.items():
+            if field != "hit_rate":
+                assert f"repro_cache_{field}_total {value}" in text
 
     def test_snapshot_is_deterministic(self):
         def build(order):
@@ -191,34 +216,35 @@ class TestMetricsRegistry:
 # --------------------------------------------------------------------- #
 # Histogram-backed percentiles in the serving stats
 # --------------------------------------------------------------------- #
-class TestLatencySummaryPercentiles:
+class TestServingStatsPercentiles:
     def test_snapshot_reports_p50_p95(self):
-        summary = LatencySummary()
-        summary.record(42.0)
-        snapshot = summary.snapshot()
-        assert snapshot["p50_us"] == 42.0
-        assert snapshot["p95_us"] == 42.0
-        assert snapshot["buckets"] == {str(bucket_index(42.0)): 1}
+        stats = ServingStats()
+        stats.record_request("G1", "table", 42.0)
+        for summary in (
+            stats.to_dict()["latency_us"]["table"],
+            stats.to_dict()["overall_latency_us"],
+        ):
+            assert summary["p50_us"] == 42.0
+            assert summary["p95_us"] == 42.0
+            assert summary["buckets"] == {str(bucket_index(42.0)): 1}
 
-    def test_percentiles_exact_under_merge(self):
-        # Two workers' summaries merge into exactly the union's summary —
-        # including the histogram, so p50/p95 agree with a single observer.
-        one, other, union = ServingStats(), ServingStats(), ServingStats()
+    def test_overall_percentiles_exact_under_merge(self):
+        # The overall latency merges the per-source histograms into
+        # exactly the histogram of the union, so its p50/p95 agree with a
+        # single-source observer of the same values.
+        split, union = ServingStats(), ServingStats()
         for value in (10.0, 30.0, 900.0):
-            one.record_request("G1", "table", value)
+            split.record_request("G1", "table", value)
             union.record_request("G1", "table", value)
         for value in (20.0, 40000.0):
-            other.record_request("G1", "table", value)
+            split.record_request("G1", "compiled", value)
             union.record_request("G1", "table", value)
-        merged = one.merge(other)
-        assert merged.to_dict() == union.to_dict()
-
-    def test_snapshot_round_trip_keeps_buckets(self):
-        summary = LatencySummary()
-        for value in (5.0, 500.0):
-            summary.record(value)
-        restored = LatencySummary.from_snapshot(summary.snapshot())
-        assert restored.snapshot() == summary.snapshot()
+        merged = split.to_dict()["overall_latency_us"]
+        expected = union.to_dict()["latency_us"]["table"]
+        assert merged.pop("mean_us") == pytest.approx(
+            expected.pop("mean_us"), rel=1e-12
+        )
+        assert merged == expected
 
 
 # --------------------------------------------------------------------- #

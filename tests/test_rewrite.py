@@ -6,7 +6,7 @@ Three groups:
   and substitution, exercised on the smallest graph that triggers it);
 * driver contract tests (determinism, idempotence, fixpoint bound,
   reachability pre-pruning, provenance threading through extraction,
-  plans, serving and the metrics registry);
+  plans and serving);
 * differential oracle tests pinning plan-neutrality: when no rule fires,
   rewrite on vs off is bit-identical down to the plan-cache keys, and when
   rules only eliminate identity operators the compiled segment costs equal
@@ -54,7 +54,6 @@ from repro.ir.ops import (
 )
 from repro.ir.tensor import TensorSpec
 from repro.ir.workloads import get_model, get_zoo_graph, list_graph_zoo
-from repro.obs.metrics import MetricsRegistry
 from repro.runtime import PlanCache
 
 TINY = dict(m=64, n=256, k=128, l=128)
@@ -305,8 +304,12 @@ class TestDriver:
 
     def test_invalid_graph_is_rejected_before_rewriting(self):
         graph = OperatorGraph("cyclic")
-        graph.add(Gemm("a", lhs=TensorSpec("b.out", (4, 4)), rhs=TensorSpec("w", (4, 4))))
-        graph.add(Gemm("b", lhs=TensorSpec("a.out", (4, 4)), rhs=TensorSpec("v", (4, 4))))
+        graph.add(
+            Gemm("a", lhs=TensorSpec("b.out", (4, 4)), rhs=TensorSpec("w", (4, 4)))
+        )
+        graph.add(
+            Gemm("b", lhs=TensorSpec("a.out", (4, 4)), rhs=TensorSpec("v", (4, 4)))
+        )
         with pytest.raises(FusionError, match="cycle"):
             canonicalize(graph)
 
@@ -379,15 +382,6 @@ class TestWiring:
             response = server.serve("moe", m=32)
         assert response.rewrite_provenance is not None
         assert response.rewrite_provenance.rules_fired != ()
-
-    def test_metrics_publisher_renders_rewrite_counters(self):
-        provenance = canonicalize(get_zoo_graph("moe_layer", m=32)).provenance
-        registry = MetricsRegistry()
-        registry.publish_rewrite_provenance(provenance.to_dict(), graph="moe")
-        text = registry.prometheus_text()
-        assert "repro_rewrite_passes_total" in text
-        assert 'rule="eliminate-reshape"' in text
-        assert "repro_rewrite_ops_eliminated_total" in text
 
 
 # --------------------------------------------------------------------- #

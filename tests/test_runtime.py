@@ -465,7 +465,7 @@ class TestServingStats:
         assert stats.requests == 3
         assert stats.misses == 1
         assert stats.hit_rate() == pytest.approx(2 / 3)
-        snapshot = stats.snapshot()
+        snapshot = stats.to_dict()
         assert snapshot["by_workload"] == {"G1": 2, "G2": 1}
         assert snapshot["latency_us"]["table"]["mean_us"] == pytest.approx(10.0)
         assert snapshot["overall_latency_us"]["max_us"] == pytest.approx(1000.0)
@@ -479,7 +479,7 @@ class TestServingStats:
         stats.record_request("G1", "table", 1.0)
         stats.reset()
         assert stats.requests == 0
-        assert stats.snapshot()["by_source"] == {}
+        assert stats.to_dict()["by_source"] == {}
 
 
 # --------------------------------------------------------------------- #

@@ -4,9 +4,8 @@ The contract under test is strong: for the same chain and search
 configuration, :class:`~repro.search.parallel.ParallelSearchEngine` must
 return the *identical* best plan, top-K ordering, per-rule pruning counts
 and candidate totals as the serial :class:`~repro.search.engine.SearchEngine`
-— sharding may only change wall-clock.  The supporting pieces (index-sliced
-enumeration, bit-identical batched scoring) are tested individually as
-well.
+— sharding may only change wall-clock.  The supporting bit-identical
+batched scoring is tested individually as well.
 """
 
 from __future__ import annotations
@@ -59,43 +58,6 @@ def _assert_same_search(serial, parallel):
     if serial.succeeded:
         assert serial.best.candidate == parallel.best.candidate
         assert serial.best.predicted_cost_us == parallel.best.predicted_cost_us
-
-
-class TestCandidatesRange:
-    def test_chunked_slices_reproduce_serial_enumeration(self, device):
-        space = _space(device)
-        chain = _chain()
-        serial = list(space.candidates(chain))
-        total = space.size_estimate(chain)
-        assert len(serial) == total
-
-        rebuilt = []
-        # Deliberately irregular chunk sizes: partitioning must not matter.
-        start, sizes = 0, (1, 7, 997, 4096)
-        step = 0
-        while start < total:
-            stop = min(total, start + sizes[step % len(sizes)])
-            for index, candidate in space.candidates_range(chain, start, stop):
-                assert index == len(rebuilt)
-                rebuilt.append(candidate)
-            start = stop
-            step += 1
-        assert rebuilt == serial
-
-    def test_range_is_clamped(self, device):
-        space = _space(device)
-        chain = _chain()
-        total = space.size_estimate(chain)
-        assert list(space.candidates_range(chain, -5, 0)) == []
-        tail = list(space.candidates_range(chain, total - 2, total + 100))
-        assert len(tail) == 2
-        assert tail[-1][0] == total - 1
-
-    def test_gated_chain_interleaves_gated_modes(self, device):
-        space = _space(device)
-        _, gated = build_gated_ffn("par-gated", 128, 256, 128, 128)
-        pairs = list(space.candidates_range(gated, 0, 4))
-        assert [c.gated_sequential for _, c in pairs] == [False, True, False, True]
 
 
 class TestEvaluateBatch:
