@@ -11,6 +11,10 @@ this module turns each into a machine check over the source tree
     in :data:`PLAN_NEUTRAL_CONFIG_FIELDS`.  A new config field that steers
     the search but is missing from the key silently poisons every shared
     cache — this check makes the omission a lint failure instead.
+``plan-neutral-fields``
+    Every :data:`PLAN_NEUTRAL_CONFIG_FIELDS` entry names a current
+    :class:`~repro.config.FuserConfig` field, so an exemption cannot
+    outlive its knob.  Tree-wide, like ``metric-names``.
 ``lock-discipline``
     In classes that create a ``self._lock``, methods that use the lock
     must not mutate lock-guarded attributes outside their ``with
@@ -61,9 +65,8 @@ PLAN_NEUTRAL_CONFIG_FIELDS = frozenset(
         "device",
         # Cache wiring: where entries live, never what they contain.
         "cache",
-        # Search *effort* knobs: same winner, different wall-clock.
+        # Search *effort* knob: same winner, different wall-clock.
         "parallelism",
-        "incremental",
         # Graph canonicalization before extraction: changes which chains are
         # extracted from a model graph, never which plan a given chain
         # compiles to — per-chain cache entries stay valid either way (the
@@ -117,6 +120,7 @@ UNSEEDED_RANDOM_CALLS = frozenset(
 )
 
 CHECK_KEY_DRIFT = "cache-key-drift"
+CHECK_PLAN_NEUTRAL_FIELDS = "plan-neutral-fields"
 CHECK_LOCK_DISCIPLINE = "lock-discipline"
 CHECK_NONDETERMINISM = "nondeterminism"
 CHECK_TO_DICT_ORDER = "to-dict-order"
@@ -125,6 +129,7 @@ CHECK_METRIC_NAMES = "metric-names"
 
 ALL_CHECKS = (
     CHECK_KEY_DRIFT,
+    CHECK_PLAN_NEUTRAL_FIELDS,
     CHECK_LOCK_DISCIPLINE,
     CHECK_NONDETERMINISM,
     CHECK_TO_DICT_ORDER,
@@ -609,12 +614,24 @@ class Linter:
         """Lint every module under a ``repro`` package tree.
 
         Beyond the per-file checks this runs the tree-wide
-        ``metric-names`` check (:func:`check_metric_names`).
+        ``plan-neutral-fields`` and ``metric-names`` checks
+        (:func:`check_metric_names`).
         """
         package_root = Path(package_root)
         violations: List[LintViolation] = []
         for path in sorted(package_root.rglob("*.py")):
             violations.extend(self.lint_file(path, package_root=package_root))
+        if self.config_fields:
+            violations.extend(
+                LintViolation(
+                    CHECK_PLAN_NEUTRAL_FIELDS,
+                    str(package_root / "config.py"),
+                    1,
+                    f"PLAN_NEUTRAL_CONFIG_FIELDS exempts {name!r}, which is "
+                    "not a FuserConfig field; drop the stale exemption",
+                )
+                for name in sorted(self.allowlist - self.config_fields)
+            )
         violations.extend(check_metric_names(package_root))
         return violations
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import bisect
 import json
 import os
-import threading
 import time
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -35,7 +34,7 @@ from repro.analysis.locks import make_lock
 from repro.codegen.cuda_emitter import emit_cuda
 from repro.codegen.kernel_ir import KernelIR, lower_plan
 from repro.codegen.plan import ExecutionPlan
-from repro.config import FuserConfig, warn_deprecated
+from repro.config import FuserConfig
 from repro.errors import FusionError
 from repro.hardware.spec import HardwareSpec
 from repro.ir.graph import GemmChainSpec
@@ -211,7 +210,6 @@ class CompileResponse:
             #: "transfer" search seeded from the nearest compiled shape.
             "mode": getattr(self.kernel.search, "mode", "exact"),
             "transfer": self.config.transfer,
-            "incremental": self.config.incremental,
         }
 
 
@@ -246,22 +244,13 @@ class FlashFuser:
 
     def __init__(
         self,
-        config: Optional[Union[FuserConfig, HardwareSpec, str]] = None,
+        config: Optional[FuserConfig] = None,
         **overrides: object,
     ) -> None:
         if config is not None and not isinstance(config, FuserConfig):
-            # Pre-config API: the first positional argument was the device.
-            warn_deprecated(
-                "flashfuser-positional-device",
-                "passing a device as FlashFuser's positional argument is "
-                "deprecated; pass a FuserConfig, or use the device= override",
+            raise TypeError(
+                "FlashFuser takes a FuserConfig; pass a device as device=..."
             )
-            if "device" in overrides:
-                raise TypeError(
-                    "device passed both positionally and as an override"
-                )
-            overrides["device"] = config
-            config = None
         self.config = (config or FuserConfig()).replace(**overrides)
         self.device = self.config.resolve_device()
         self._cache = self.config.resolve_cache()
@@ -313,15 +302,6 @@ class FlashFuser:
     def cache(self, value) -> None:
         self.config = self.config.replace(cache=value)
         self._cache = self.config.resolve_cache()
-
-    def search_config(self) -> Dict[str, object]:
-        """Deprecated alias for :meth:`FuserConfig.cache_key_fields`."""
-        warn_deprecated(
-            "flashfuser-search-config",
-            "FlashFuser.search_config() is deprecated; use "
-            "FlashFuser.config.cache_key_fields()",
-        )
-        return dict(self.config.cache_key_fields())
 
     def cache_key(self, chain: GemmChainSpec) -> Optional[str]:
         """The plan-cache key for ``chain``, or ``None`` without a cache."""
@@ -406,45 +386,20 @@ class FlashFuser:
     # ------------------------------------------------------------------ #
     # Classic entry points
     # ------------------------------------------------------------------ #
-    def compile(
-        self, chain: GemmChainSpec, parallelism: Optional[int] = None
-    ) -> CompiledKernel:
+    def compile(self, chain: GemmChainSpec) -> CompiledKernel:
         """Return the best fused kernel for ``chain``, consulting the cache.
 
         With no cache attached this always runs the full fusion search;
         with one attached, a canonically identical chain compiled before —
         by this process or a previous one — is rehydrated from the stored
-        plan instead.  The ``parallelism`` kwarg is deprecated: set
-        :attr:`FuserConfig.parallelism`, or pass a :class:`CompileRequest`
-        with ``overrides={"parallelism": ...}``.
+        plan instead.  Pass a :class:`CompileRequest` to
+        :meth:`compile_request` for per-call config overrides.
         """
-        overrides: Dict[str, object] = {}
-        if parallelism is not None:
-            warn_deprecated(
-                "compile-parallelism-kwarg",
-                "compile(parallelism=...) is deprecated; set "
-                "FuserConfig.parallelism or pass a CompileRequest with "
-                "overrides={'parallelism': ...}",
-            )
-            overrides["parallelism"] = parallelism
-        return self.compile_request(
-            CompileRequest(chain=chain, overrides=overrides)
-        ).kernel
+        return self.compile_request(CompileRequest(chain=chain)).kernel
 
-    def compile_uncached(
-        self, chain: GemmChainSpec, parallelism: Optional[int] = None
-    ) -> CompiledKernel:
+    def compile_uncached(self, chain: GemmChainSpec) -> CompiledKernel:
         """Search, select and lower the best fused kernel for ``chain``."""
-        config = self.config
-        if parallelism is not None:
-            warn_deprecated(
-                "compile-parallelism-kwarg",
-                "compile_uncached(parallelism=...) is deprecated; set "
-                "FuserConfig.parallelism or pass a CompileRequest with "
-                "overrides={'parallelism': ...}",
-            )
-            config = config.replace(parallelism=parallelism)
-        return self._compile_uncached(chain, config, self._device_for(config))
+        return self._compile_uncached(chain, self.config, self.device)
 
     def compile_workload(
         self, workload_id: str, m: Optional[int] = None
@@ -623,7 +578,6 @@ class FlashFuser:
             config.include_dsm,
             config.max_tile,
             parallelism,
-            config.incremental,
             config.transfer_bound,
         )
         with self._engines_lock:
@@ -654,7 +608,6 @@ class FlashFuser:
                 space=space,
                 cost_model=cost_model,
                 parallelism=parallelism,
-                incremental=config.incremental,
                 transfer_bound=config.transfer_bound,
             )
         return SearchEngine(
@@ -664,7 +617,6 @@ class FlashFuser:
             profiler=simulator.profile,
             space=space,
             cost_model=cost_model,
-            incremental=config.incremental,
             transfer_bound=config.transfer_bound,
         )
 

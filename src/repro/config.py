@@ -8,56 +8,21 @@ stack understands.  One frozen value object flows through
 the same kwarg list, and :meth:`FuserConfig.cache_key_fields` is the one
 canonical definition of which knobs shape compiled plans — the plan cache
 derives its keys from it, so the key format cannot drift between call sites.
-
-The module also hosts the deprecation machinery for the pre-config API:
-shims call :func:`warn_deprecated`, which emits each distinct
-:class:`DeprecationWarning` exactly once per process and attributes it to the
-*caller* (so the test suite's ``error::DeprecationWarning:repro.*`` filter
-turns any internal use of a deprecated path into a hard failure while
-downstream callers merely see a warning).
+The other fields — the device aside, which enters keys by its fingerprint —
+are plan-neutral: they change how a search runs, never which plan it picks.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-import warnings
 from dataclasses import dataclass, fields, replace as _dataclass_replace
-from typing import TYPE_CHECKING, Dict, Optional, Set, Union
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
-from repro.analysis.locks import make_lock
 from repro.hardware.registry import device_name_of, get_device
 from repro.hardware.spec import HardwareSpec
 
 if TYPE_CHECKING:
     from repro.runtime.cache import PlanCache
-
-
-# --------------------------------------------------------------------- #
-# Deprecation plumbing
-# --------------------------------------------------------------------- #
-_WARNED: Set[str] = set()
-_WARNED_LOCK = make_lock("deprecation-warned")
-
-
-def warn_deprecated(key: str, message: str, stacklevel: int = 3) -> None:
-    """Emit ``message`` as a :class:`DeprecationWarning`, once per ``key``.
-
-    ``stacklevel`` defaults to attributing the warning to the caller of the
-    deprecated shim (shim -> this helper is two frames), which is what makes
-    module-scoped warning filters distinguish internal from external use.
-    """
-    with _WARNED_LOCK:
-        if key in _WARNED:
-            return
-        _WARNED.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=stacklevel)
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which deprecations already fired (test helper)."""
-    with _WARNED_LOCK:
-        _WARNED.clear()
 
 
 # --------------------------------------------------------------------- #
@@ -88,8 +53,8 @@ class FuserConfig:
     parallelism:
         Cold-compile fan-out.  ``None`` or ``1`` runs the serial search
         engine; a larger value splits the analysis of the pruned candidates
-        across that many worker processes.  Never part of the cache key — it cannot change
-        the selected plan.
+        across that many worker processes.  Never part of the cache key — it
+        cannot change the selected plan.
     transfer:
         Warm-start cold compiles from the nearest previously compiled shape
         (same chain kind/device, different M/N/K): a bounded local search
@@ -101,11 +66,6 @@ class FuserConfig:
         Acceptance bound of transferred plans, as a factor over the chain's
         admissible cost lower bound (must be >= 1.0).  Only meaningful with
         ``transfer=True``.
-    incremental:
-        Memoize kind-independent subchain analysis cores inside the search
-        engines, so e.g. a gated-FFN search reuses its standard-FFN prefix
-        work.  Plan-neutral (selected plans are bit-identical either way),
-        so never part of the cache key.
     rewrite:
         Canonicalize operator graphs (:func:`repro.graphs.rewrite.canonicalize`)
         before chain extraction, so export spellings — interior reshapes,
@@ -140,7 +100,6 @@ class FuserConfig:
     parallelism: Optional[int] = None
     transfer: bool = False
     transfer_bound: float = 2.0
-    incremental: bool = True
     rewrite: bool = True
     trace: bool = False
 
@@ -184,8 +143,8 @@ class FuserConfig:
         ``include_dsm``, ``max_tile``, ``transfer`` and ``transfer_bound``
         (the transfer knobs can change which plan is selected, so they must
         partition the cache).  Device identity enters the key separately
-        (via the hardware fingerprint) and ``parallelism``, ``incremental``,
-        ``rewrite`` and ``cache`` never do — they cannot change the selected
+        (via the hardware fingerprint) and ``parallelism``, ``rewrite``,
+        ``trace`` and ``cache`` never do — they cannot change the selected
         plan, so toggling them does not invalidate cached plans.
         """
         return {
@@ -239,7 +198,6 @@ class FuserConfig:
             "parallelism": self.parallelism,
             "transfer": self.transfer,
             "transfer_bound": self.transfer_bound,
-            "incremental": self.incremental,
             "rewrite": self.rewrite,
             "trace": self.trace,
         }

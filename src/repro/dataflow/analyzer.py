@@ -98,11 +98,10 @@ class SubchainAnalysis:
 
     Everything here depends only on the candidate (schedule, tile,
     geometry), the problem dimensions and the analyzer's device context —
-    *not* on the chain kind or the gated-sequential flag.  A gated-FFN
-    chain and its standard-FFN prefix therefore share one record: the
-    GEMM0 weight traffic is stored per branch (``b_unit_traffic``) and
-    scaled back up at assembly time, which is exact because the branch
-    count is a small power of two.
+    *not* on the chain kind or the gated-sequential flag, so both gated
+    modes of a cell assemble from one record.  The GEMM0 weight traffic is
+    stored per branch (``b_unit_traffic``) and scaled back up at assembly
+    time, which is exact because the branch count is a small power of two.
     """
 
     a_traffic: float
@@ -130,14 +129,6 @@ class DataflowAnalyzer:
         Fraction of the register file reserved for the mainloop working set.
     smem_reserve_bytes:
         SMEM held back for double-buffered operand staging.
-    analysis_cache:
-        Optional memo for :class:`SubchainAnalysis` records.  Any object
-        with ``lookup(chain, schedule, tile, geometry)`` returning a
-        record or ``None`` and ``store(chain, schedule, tile, geometry,
-        analysis)`` works (see
-        :class:`repro.search.incremental.SubchainAnalysisCache`); the
-        cache must only be shared between analyzers with an identical
-        device context.
     """
 
     def __init__(
@@ -146,13 +137,11 @@ class DataflowAnalyzer:
         include_dsm: bool = True,
         register_reserve_fraction: float = 0.5,
         smem_reserve_bytes: int = 32 * 1024,
-        analysis_cache: Optional[object] = None,
     ) -> None:
         self.device = device
         self.include_dsm = include_dsm and device.has_dsm
         self.register_reserve_fraction = register_reserve_fraction
         self.smem_reserve_bytes = smem_reserve_bytes
-        self.analysis_cache = analysis_cache
         # Hierarchy and budget construction are pure functions of the cluster
         # size; cache them because the search engine analyses tens of
         # thousands of candidates per chain.
@@ -172,16 +161,8 @@ class DataflowAnalyzer:
     ) -> DataflowResult:
         """Analyse one candidate and return its data-movement breakdown."""
         geometry = geometry or ClusterGeometry.single_block()
-        core: Optional[SubchainAnalysis] = None
-        if self.analysis_cache is not None:
-            core = self.analysis_cache.lookup(chain, schedule, tile, geometry)
-        if core is None:
-            core = self.analyze_core(chain, schedule, tile, geometry)
-            if self.analysis_cache is not None:
-                self.analysis_cache.store(chain, schedule, tile, geometry, core)
-        return self.assemble(
-            chain, schedule, tile, geometry, core, gated_sequential
-        )
+        core = self.analyze_core(chain, schedule, tile, geometry)
+        return self.assemble(chain, schedule, tile, geometry, core, gated_sequential)
 
     def analyze_core(
         self,
@@ -247,7 +228,7 @@ class DataflowAnalyzer:
         core: SubchainAnalysis,
         gated_sequential: bool = False,
     ) -> DataflowResult:
-        """Rebuild the full :class:`DataflowResult` from a cached core.
+        """Rebuild the full :class:`DataflowResult` from an analysis core.
 
         Adds back exactly the kind-dependent pieces: the GEMM0 branch
         factor on the B traffic and the dsm_comm plan (which depends on

@@ -47,8 +47,9 @@ def tensor_size_bytes(
     """Whole-tensor size in bytes (both weight branches for a gated B).
 
     ``branches`` overrides the chain's own GEMM0 branch count; passing 1
-    yields the single-branch (standard-FFN) size of B, which the
-    incremental analysis cache scales back up per chain kind.
+    yields the single-branch (standard-FFN) size of B, which
+    :meth:`~repro.dataflow.analyzer.DataflowAnalyzer.assemble` scales back
+    up per chain kind.
     """
     dims = TENSOR_DIMS[tensor]
     sizes = chain.dimension_sizes()
@@ -224,8 +225,8 @@ def io_tensor_traffic(
     covered by parallel units and contribute a factor of one — reuse across
     blocks is served by L2 multicast, matching Algorithm 1's treatment of
     spatial dimensions.  ``branches`` forwards to
-    :func:`tensor_size_bytes` (single-branch sizing for the incremental
-    analysis cache).
+    :func:`tensor_size_bytes` (single-branch sizing for the analysis
+    core).
     """
     size = tensor_size_bytes(tensor, chain, branches=branches)
     factor = 1.0

@@ -393,8 +393,13 @@ class MetricsRegistry:
         -------
         ::
 
-            stats = server.stats               # a ServingStats
-            open("metrics.prom", "w").write(stats.registry.prometheus_text())
+            registry = MetricsRegistry()
+            registry.counter("repro_requests_total").inc()
+            open("metrics.prom", "w").write(registry.prometheus_text())
+
+        The registry takes no lock: a sink that records from several
+        threads renders through its own lock (``ServingStats.prometheus_text``,
+        ``CacheStats.prometheus_text``).
         """
         lines: List[str] = []
         for name in sorted(self._metrics):

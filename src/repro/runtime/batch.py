@@ -39,7 +39,7 @@ from repro.api import (
     FusionError,
     KernelTable,
 )
-from repro.config import FuserConfig, warn_deprecated
+from repro.config import FuserConfig
 from repro.ir.graph import GemmChainSpec
 from repro.ir.workloads import get_chain_spec
 
@@ -116,9 +116,6 @@ class BatchCompiler:
     config:
         Configuration for the internally constructed compiler when
         ``compiler`` is omitted.
-    parallelism:
-        Deprecated: use ``overrides={"parallelism": N}`` or set
-        :attr:`FuserConfig.parallelism` on the compiler.
 
     Example
     -------
@@ -140,7 +137,6 @@ class BatchCompiler:
         compiler: Optional[FlashFuser] = None,
         max_workers: Optional[int] = None,
         executor: Optional[Executor] = None,
-        parallelism: Optional[int] = None,
         config: Optional[FuserConfig] = None,
         overrides: Optional[Mapping[str, object]] = None,
     ) -> None:
@@ -153,14 +149,6 @@ class BatchCompiler:
         self._owns_compiler = owns_compiler
         self.max_workers = max_workers or min(8, os.cpu_count() or 1)
         self.overrides: Dict[str, object] = dict(overrides or {})
-        if parallelism is not None:
-            warn_deprecated(
-                "batch-parallelism-kwarg",
-                "BatchCompiler(parallelism=...) is deprecated; set "
-                "FuserConfig.parallelism on the compiler, or pass "
-                "overrides={'parallelism': ...}",
-            )
-            self.overrides.setdefault("parallelism", parallelism)
         self._executor = executor
 
     @property

@@ -246,8 +246,9 @@ class CacheStats:
 
     The counters are ``repro_cache_<field>_total`` samples of
     :attr:`registry`; :meth:`inc` records into them and each field reads
-    back as an attribute (``stats.memory_hits``).  The cache increments
-    them under its own lock.
+    back as an attribute (``stats.memory_hits``).  :meth:`inc` and
+    :meth:`prometheus_text` share one lock, so a scrape is a consistent
+    snapshot of all nine counters.
 
     Example
     -------
@@ -258,6 +259,7 @@ class CacheStats:
     """
 
     def __init__(self) -> None:
+        self._lock = make_lock("cache-stats")
         #: The registry holding the nine counters.
         self.registry = registry = MetricsRegistry()
         # Insertion order is the pinned to_dict() key order.
@@ -293,7 +295,13 @@ class CacheStats:
 
     def inc(self, name: str) -> None:
         """Count one ``name`` event (``"memory_hits"``, ``"io_errors"``...)."""
-        self._counters[name].inc()
+        with self._lock:
+            self._counters[name].inc()
+
+    def prometheus_text(self) -> str:
+        """:meth:`MetricsRegistry.prometheus_text` of :attr:`registry`."""
+        with self._lock:
+            return self.registry.prometheus_text()
 
     def __getattr__(self, name: str) -> int:
         try:

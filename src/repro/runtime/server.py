@@ -30,7 +30,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.analysis.locks import make_lock
 from repro.api import CompiledKernel, CompileRequest, FlashFuser, KernelTable
-from repro.config import FuserConfig, warn_deprecated
+from repro.config import FuserConfig
 from repro.ir.graph import GemmChainSpec
 from repro.ir.workloads import get_chain_spec
 from repro.obs.trace import tracer
@@ -122,8 +122,6 @@ class KernelServer:
         compiler when ``compiler`` is omitted; any additional keyword
         arguments are applied as config overrides
         (``KernelServer(config=FuserConfig(parallelism=4), top_k=5)``).
-    parallelism:
-        Deprecated: set :attr:`FuserConfig.parallelism` instead.
 
     Example
     -------
@@ -145,19 +143,9 @@ class KernelServer:
         m_bins: Optional[Sequence[int]] = None,
         stats: Optional[ServingStats] = None,
         max_workers: Optional[int] = None,
-        parallelism: Optional[int] = None,
         config: Optional[FuserConfig] = None,
         **overrides: object,
     ) -> None:
-        self._overrides: Dict[str, object] = {}
-        if parallelism is not None:
-            warn_deprecated(
-                "server-parallelism-kwarg",
-                "KernelServer(parallelism=...) is deprecated; set "
-                "FuserConfig.parallelism (e.g. "
-                "KernelServer(config=FuserConfig(parallelism=N)))",
-            )
-            self._overrides["parallelism"] = parallelism
         if compiler is None:
             base = (config or FuserConfig()).replace(**overrides)
             if cache is not None and base.cache is None:
@@ -179,9 +167,7 @@ class KernelServer:
             raise ValueError("m_bins must be positive")
         self.m_bins = bins
         self.stats = stats or ServingStats()
-        self.batch = BatchCompiler(
-            compiler, max_workers=max_workers, overrides=self._overrides
-        )
+        self.batch = BatchCompiler(compiler, max_workers=max_workers)
         self._tables: Dict[str, KernelTable] = {}
         self._chains: Dict[str, GemmChainSpec] = {}
         self._lock = make_lock("kernel-server", reentrant=True)
@@ -191,10 +177,7 @@ class KernelServer:
 
     @property
     def parallelism(self) -> Optional[int]:
-        """The effective cold-compile fan-out for this server's misses."""
-        override = self._overrides.get("parallelism")
-        if override is not None:
-            return int(override)
+        """The cold-compile fan-out for this server's misses."""
         return self.compiler.config.parallelism
 
     # ------------------------------------------------------------------ #
@@ -228,11 +211,11 @@ class KernelServer:
         bin_m = self.bin_for(runtime_m)
         # The shared kernel tables are keyed by (workload/shape, bin) only,
         # so they may serve and store solely kernels compiled under the
-        # server's own config.  parallelism, incremental and trace cannot
-        # change the selected plan; any other override reshapes it, so such
-        # requests bypass the table (they still resolve through the plan
-        # cache and compile path).
-        plan_neutral = set(overrides) <= {"parallelism", "incremental", "trace"}
+        # server's own config.  parallelism and trace cannot change the
+        # selected plan; any other override reshapes it, so such requests
+        # bypass the table (they still resolve through the plan cache and
+        # compile path).
+        plan_neutral = set(overrides) <= {"parallelism", "trace"}
         with tracer().span(
             "server.request", workload=key, m=runtime_m, bin=bin_m
         ) as span:
@@ -352,7 +335,7 @@ class KernelServer:
                     "pass the runtime M inside the CompileRequest (m=...), "
                     "not as a second argument"
                 )
-            overrides = {**self._overrides, **request.overrides}
+            overrides = dict(request.overrides)
             if request.workload is not None:
                 key = request.workload
                 base = self._base_chain(key)
@@ -365,7 +348,7 @@ class KernelServer:
             return key, base, runtime_m, overrides
         if m is None:
             raise TypeError("request(workload_id, m) requires a runtime M")
-        return request, self._base_chain(request), m, dict(self._overrides)
+        return request, self._base_chain(request), m, {}
 
     @staticmethod
     def _chain_key(chain: GemmChainSpec) -> str:

@@ -6,7 +6,8 @@ resolution source (kernel table, plan cache tier, or on-demand compile) and
 its wall-clock resolution latency.  The samples live in the sink's
 :class:`~repro.obs.metrics.MetricsRegistry` (``stats.registry``), the one
 store every view reads: :meth:`ServingStats.to_dict` derives its counts and
-latency summaries from the same histograms a Prometheus scrape renders.
+latency summaries from the same histograms :meth:`ServingStats.prometheus_text`
+renders for a Prometheus scrape.
 """
 
 from __future__ import annotations
@@ -179,6 +180,16 @@ class ServingStats:
                 },
                 "overall_latency_us": _latency_summary(self._overall()),
             }
+
+    def prometheus_text(self) -> str:
+        """:meth:`MetricsRegistry.prometheus_text` of :attr:`registry`.
+
+        Rendered under the lock :meth:`record_request` holds, so a scrape
+        never iterates a histogram while a request adds a bucket to it, and
+        each ``_count`` equals its ``+Inf`` bucket.
+        """
+        with self._lock:
+            return self.registry.prometheus_text()
 
     def reset(self) -> None:
         """Zero every counter (a fresh :attr:`registry`)."""

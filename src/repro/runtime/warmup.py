@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.api import FlashFuser, KernelTable
-from repro.config import FuserConfig, warn_deprecated
+from repro.config import FuserConfig
 from repro.ir.workloads import get_chain_spec, list_workloads
 from repro.runtime.batch import STATUS_CACHED, STATUS_COMPILED, BatchCompiler
 
@@ -73,7 +73,6 @@ def warmup_workloads(
     workload_ids: Optional[Sequence[str]] = None,
     m_bins: Sequence[int] = DEFAULT_WARMUP_M_BINS,
     max_workers: Optional[int] = None,
-    parallelism: Optional[int] = None,
     config: Optional[FuserConfig] = None,
     overrides: Optional[Mapping[str, object]] = None,
 ) -> WarmupReport:
@@ -100,9 +99,6 @@ def warmup_workloads(
         since a cold suite is exactly a pile of independent cold compiles).
         Ignored when an existing :class:`BatchCompiler` is passed (configure
         it directly instead).
-    parallelism:
-        Deprecated: use ``overrides={"parallelism": N}`` or set
-        :attr:`FuserConfig.parallelism`.
 
     Returns a :class:`WarmupReport`: per-workload kernel tables plus
     compiled/cached/failed counts and the elapsed wall clock.
@@ -119,14 +115,6 @@ def warmup_workloads(
         print(report.succeeded, report.snapshot())
     """
     start = time.perf_counter()
-    if parallelism is not None:
-        warn_deprecated(
-            "warmup-parallelism-kwarg",
-            "warmup_workloads(parallelism=...) is deprecated; set "
-            "FuserConfig.parallelism or pass overrides={'parallelism': ...}",
-        )
-        overrides = dict(overrides or {})
-        overrides.setdefault("parallelism", parallelism)
     owned: Optional[FlashFuser] = None
     if isinstance(compiler, BatchCompiler):
         batch = compiler

@@ -8,9 +8,8 @@ top-K candidates on the performance simulator to pick the final plan
 (:mod:`repro.search.engine`, Algorithm 2).  The unpruned exhaustive search
 used for the Table VIII comparison lives in :mod:`repro.search.brute_force`,
 and the process-parallel engine — same selected plan, the survivors'
-analysis fanned across workers — in :mod:`repro.search.parallel`.  The
-incremental layer — subchain analysis memoization, admissible lower bounds
-and nearest-shape warm-start transfer — lives in
+analysis fanned across workers — in :mod:`repro.search.parallel`.
+Admissible lower bounds and nearest-shape warm-start transfer live in
 :mod:`repro.search.incremental`.
 """
 
@@ -19,7 +18,6 @@ from repro.search.engine import FusionCandidate, SearchEngine, SearchResult
 from repro.search.incremental import (
     CandidateLowerBound,
     ShapeIndex,
-    SubchainAnalysisCache,
     TransferSearch,
     TransferSeed,
     seed_from_plan_dict,
@@ -39,7 +37,6 @@ __all__ = [
     "SearchEngine",
     "SearchResult",
     "ShapeIndex",
-    "SubchainAnalysisCache",
     "TransferSearch",
     "TransferSeed",
     "PruningRule",

@@ -18,7 +18,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.dataflow.analyzer import DataflowAnalyzer, DataflowResult
+from repro.dataflow.analyzer import (
+    DataflowAnalyzer,
+    DataflowResult,
+    SubchainAnalysis,
+)
 from repro.hardware.spec import HardwareSpec
 from repro.obs import trace as obs_trace
 from repro.obs.trace import tracer
@@ -57,9 +61,9 @@ class SearchResult:
     ``mode`` records how the plan was found: ``"exact"`` for a full
     enumeration, ``"transfer"`` for a warm-started local search around a
     nearest-shape seed (see :mod:`repro.search.incremental`).
-    ``candidates_skipped`` counts candidates whose admissible lower bound
-    already exceeded the running top-K threshold, so they were never
-    analysed.
+    ``candidates_skipped`` counts the transfer search's candidates whose
+    admissible lower bound already exceeded the running top-K threshold, so
+    they were never analysed (always 0 for an exact search).
     """
 
     chain: GemmChainSpec
@@ -116,7 +120,7 @@ class SearchSummary:
     from_cache: bool = False
     #: ``"exact"`` or ``"transfer"`` — how the plan was found.
     mode: str = "exact"
-    #: Candidates skipped by the admissible lower bound.
+    #: Transfer-search candidates skipped by the admissible lower bound.
     candidates_skipped: int = 0
     #: Per-phase wall-clock attribution in microseconds (``None`` for
     #: summaries persisted before phase attribution existed).
@@ -162,8 +166,8 @@ class SearchSummary:
     def from_dict(cls, payload: dict, from_cache: bool = False) -> "SearchSummary":
         """Rebuild a summary from :meth:`to_dict` output.
 
-        Summaries persisted before the incremental-search fields existed
-        load with the defaults (``mode="exact"``, no skips, no phase
+        Summaries persisted before the transfer-search fields existed load
+        with the defaults (``mode="exact"``, no skips, no phase
         attribution).
         """
         raw_phases = payload.get("phase_times_us")
@@ -223,6 +227,12 @@ def analyze_and_rank(
     smallest ``(cost, enumeration index)`` pairs, a rule that does not
     depend on the order of analysis, so shards merge exactly.
 
+    Consecutive survivors of one (chain, schedule, tile, geometry) cell —
+    the gated modes of a gated chain — share one
+    :meth:`DataflowAnalyzer.analyze_core`, and each is assembled with its
+    own mode, exactly as :meth:`DataflowAnalyzer.analyze` would.  The
+    shared core lives in locals, so engines shared by threads need no lock.
+
     With ``lower_bound`` (called with a survivor's index and candidate),
     plans are scored one at a time into a running top-K, and a survivor
     whose admissible bound strictly exceeds the current K-th cost is
@@ -235,6 +245,9 @@ def analyze_and_rank(
     analyzed = 0
     skipped = 0
     feasible: List[Tuple[int, FusionCandidate, DataflowResult]] = []
+    # The last cell analysed and its core (see the docstring).
+    last_cell: Optional[tuple] = None
+    core: Optional[SubchainAnalysis] = None
     # Max-heap of (-cost, -index, ...): the root is the worst kept plan.
     heap: List[Tuple[float, int, FusionCandidate, DataflowResult]] = []
     for index, candidate in survivors:
@@ -248,13 +261,16 @@ def analyze_and_rank(
             skipped += 1
             continue
         analyze_t0 = time.perf_counter()
-        result = analyzer.analyze(
+        cell = (
             candidate.chain,
             candidate.schedule,
             candidate.tile,
             candidate.geometry,
-            gated_sequential=candidate.gated_sequential,
         )
+        if cell != last_cell:
+            core = analyzer.analyze_core(*cell)
+            last_cell = cell
+        result = analyzer.assemble(*cell, core, candidate.gated_sequential)
         analyze_s += time.perf_counter() - analyze_t0
         analyzed += 1
         if require_feasible and not result.feasible:
@@ -353,19 +369,6 @@ class SearchEngine:
     max_candidates:
         Analysis budget: only the first survivors in enumeration order are
         analysed.  The pruning counts still cover the whole space.
-    incremental:
-        Memoize the kind-independent core of every candidate analysis in a
-        :class:`~repro.search.incremental.SubchainAnalysisCache`, so a
-        gated-FFN search reuses its standard-FFN prefix work.  Plan-neutral:
-        the selected plans are bit-identical either way.
-    lower_bound_prune:
-        Skip analysing candidates whose admissible lower bound strictly
-        exceeds the running top-K cost threshold.  The bound never
-        overestimates (see
-        :class:`~repro.search.incremental.CandidateLowerBound`), so the
-        surviving top-K — and therefore the selected plan — is unchanged;
-        only ``candidates_analyzed`` shrinks.  Off by default because the
-        analyzed-count bookkeeping is pinned by equivalence tests.
     transfer_bound:
         Acceptance bound of warm-started transfer searches (used when
         :meth:`search` is given a ``transfer_seed``): the transferred
@@ -400,17 +403,8 @@ class SearchEngine:
         cost_model: Optional[CostModel] = None,
         require_feasible: bool = True,
         max_candidates: Optional[int] = None,
-        incremental: bool = True,
-        lower_bound_prune: bool = False,
         transfer_bound: float = 2.0,
     ) -> None:
-        # Local import: incremental.py returns SearchResult objects, so the
-        # module-level dependency must point the other way.
-        from repro.search.incremental import (
-            CandidateLowerBound,
-            SubchainAnalysisCache,
-        )
-
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
         self.device = device
@@ -419,18 +413,10 @@ class SearchEngine:
         self.profiler = profiler
         self.space = space or SearchSpace(device, include_clusters=self.include_dsm)
         self.cost_model = cost_model or CostModel(device)
-        self.incremental = incremental
-        self.analysis_cache = SubchainAnalysisCache() if incremental else None
-        self.analyzer = DataflowAnalyzer(
-            device,
-            include_dsm=self.include_dsm,
-            analysis_cache=self.analysis_cache,
-        )
+        self.analyzer = DataflowAnalyzer(device, include_dsm=self.include_dsm)
         self.require_feasible = require_feasible
         self.max_candidates = max_candidates
-        self.lower_bound_prune = lower_bound_prune
         self.transfer_bound = transfer_bound
-        self.bounds = CandidateLowerBound(device, self.cost_model)
 
     # ------------------------------------------------------------------ #
     # Algorithm 2
@@ -463,7 +449,7 @@ class SearchEngine:
         if obs_trace.enabled():
             _emit_prune_span(chain, cascade, prune_s)
 
-        outcome = self._analyze_and_rank(chain, survivors)
+        outcome = self._analyze_and_rank(survivors)
         profile_t0 = time.perf_counter()
         top_k = profile_top_k(outcome.plans, self.profiler)
         profile_s = time.perf_counter() - profile_t0
@@ -477,7 +463,6 @@ class SearchEngine:
                 end_us=end_us,
                 chain=chain.name,
                 analyzed=outcome.analyzed,
-                skipped=outcome.skipped,
             )
         return SearchResult(
             chain=chain,
@@ -487,7 +472,6 @@ class SearchEngine:
             candidates_enumerated=cascade.stats.initial,
             candidates_analyzed=outcome.analyzed,
             search_time_s=elapsed,
-            candidates_skipped=outcome.skipped,
             phase_times_us={
                 "enumerate_prune": prune_s * 1e6,
                 "analyze": outcome.analyze_s * 1e6,
@@ -496,9 +480,7 @@ class SearchEngine:
             },
         )
 
-    def _analyze_and_rank(
-        self, chain: GemmChainSpec, survivors: Sequence[Survivor]
-    ) -> RankOutcome:
+    def _analyze_and_rank(self, survivors: Sequence[Survivor]) -> RankOutcome:
         """Analyze and rank the cascade's survivors (sharded by subclasses)."""
         return analyze_and_rank(
             survivors,
@@ -507,13 +489,12 @@ class SearchEngine:
             keep=self.top_k,
             require_feasible=self.require_feasible,
             budget=self.max_candidates,
-            lower_bound=(
-                self.bounds.for_chain(chain) if self.lower_bound_prune else None
-            ),
         )
 
     def _transfer_search(self, chain: GemmChainSpec, seed) -> Optional[SearchResult]:
         """Bounded local search around ``seed``; ``None`` means fall back."""
+        # Local import: incremental.py returns SearchResult objects, so the
+        # module-level dependency must point the other way.
         from repro.search.incremental import TransferSearch
 
         transfer = TransferSearch(

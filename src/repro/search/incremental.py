@@ -1,16 +1,8 @@
-"""Incremental and transfer-aware search.
+"""Transfer-aware search.
 
-Three cooperating mechanisms shrink the cold-compile cliff without ever
+Two cooperating mechanisms shrink the cold-compile cliff without ever
 changing which plan a full search would select:
 
-* **Compositional reuse** — :class:`SubchainAnalysisCache` memoizes the
-  chain-kind-independent core of every dataflow analysis
-  (:class:`~repro.dataflow.analyzer.SubchainAnalysis`), keyed by the
-  canonical *subchain* hash (the chain with its kind and activation
-  normalised away) plus the candidate.  A gated-FFN search analyses each
-  (schedule, tile, geometry) point once and reuses the core across both
-  gated modes — and across canonically dimension-identical chains of any
-  kind — instead of recomputing its standard-FFN prefix work.
 * **Admissible lower bounds** — :class:`CandidateLowerBound` prices a
   candidate *before* analysis using only its guaranteed-minimum global
   traffic and its exact compute time.  Both components bound the cost
@@ -20,9 +12,10 @@ changing which plan a full search would select:
   exceeds the current top-K threshold without changing the top-K.
 * **Warm-start transfer** — :class:`TransferSearch` seeds a bounded local
   search from the plan of the nearest previously compiled shape
-  (:class:`ShapeIndex`), and accepts the result only when it is provably
-  within ``transfer_bound`` of the chain's absolute lower bound —
-  otherwise the caller falls back to full enumeration.
+  (:class:`ShapeIndex`), ranks its neighborhood best-first by those bounds,
+  and accepts the result only when it is provably within
+  ``transfer_bound`` of the chain's absolute lower bound — otherwise the
+  caller falls back to full enumeration.
 """
 
 from __future__ import annotations
@@ -32,122 +25,23 @@ import json
 import math
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, replace as _dataclass_replace
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.locks import make_lock
-from repro.dataflow.analyzer import DataflowAnalyzer, SubchainAnalysis
+from repro.dataflow.analyzer import DataflowAnalyzer
 from repro.dataflow.footprint import io_tensor_traffic, tensor_size_bytes
 from repro.dataflow.loop_schedule import LoopSchedule
 from repro.dataflow.tiling import TileConfig
 from repro.dsm_comm.geometry import ClusterGeometry
 from repro.hardware.spec import HardwareSpec
-from repro.ir.graph import ChainKind, GemmChainSpec
-from repro.ir.ops import ActivationKind
+from repro.ir.graph import GemmChainSpec
 from repro.obs.logging import get_logger, log_event
 from repro.search.cost_model import CostModel
 from repro.search.pruning import Pruner, PruningStats
 from repro.search.space import FusionCandidate, SearchSpace, SpaceComponents
 
 _logger = get_logger(__name__)
-
-#: Chain-kind/activation values every subchain is normalised to before
-#: hashing, so chains that differ only in those fields share cache entries.
-_NORMAL_KIND = ChainKind.STANDARD_FFN
-_NORMAL_ACTIVATION = ActivationKind.RELU
-
-
-class SubchainAnalysisCache:
-    """Bounded, thread-safe memo for kind-independent analysis cores.
-
-    Keys combine the canonical *subchain* token — the chain's canonical
-    hash after normalising away its kind and activation, which do not
-    enter the core — with the frozen candidate components.  The cache is
-    only valid within one analyzer device context (device fingerprint,
-    DSM setting, reserve knobs); construct one per analyzer, or pass an
-    explicit ``context`` string when sharing.
-    """
-
-    def __init__(self, max_entries: int = 65536, context: str = "") -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self.context = context
-        self.hits = 0
-        self.misses = 0
-        self._lock = make_lock("subchain-memo")
-        self._entries: "OrderedDict[tuple, SubchainAnalysis]" = OrderedDict()
-        self._tokens: Dict[GemmChainSpec, str] = {}
-
-    def _token(self, chain: GemmChainSpec) -> str:
-        token = self._tokens.get(chain)
-        if token is None:
-            normalized = chain
-            if (
-                chain.kind is not _NORMAL_KIND
-                or chain.activation is not _NORMAL_ACTIVATION
-            ):
-                normalized = _dataclass_replace(
-                    chain, kind=_NORMAL_KIND, activation=_NORMAL_ACTIVATION
-                )
-            token = normalized.canonical_hash()
-            self._tokens[chain] = token
-        return token
-
-    def _key(
-        self,
-        chain: GemmChainSpec,
-        schedule: LoopSchedule,
-        tile: TileConfig,
-        geometry: ClusterGeometry,
-    ) -> tuple:
-        return (self.context, self._token(chain), schedule, tile, geometry)
-
-    def lookup(
-        self,
-        chain: GemmChainSpec,
-        schedule: LoopSchedule,
-        tile: TileConfig,
-        geometry: ClusterGeometry,
-    ) -> Optional[SubchainAnalysis]:
-        """The cached core for one candidate, or ``None``."""
-        key = self._key(chain, schedule, tile, geometry)
-        with self._lock:
-            core = self._entries.get(key)
-            if core is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return core
-
-    def store(
-        self,
-        chain: GemmChainSpec,
-        schedule: LoopSchedule,
-        tile: TileConfig,
-        geometry: ClusterGeometry,
-        analysis: SubchainAnalysis,
-    ) -> None:
-        """Remember the core for one candidate (evicting LRU entries)."""
-        key = self._key(chain, schedule, tile, geometry)
-        with self._lock:
-            self._entries[key] = analysis
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def stats(self) -> Dict[str, int]:
-        """Hit/miss counters (diagnostics only)."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "entries": len(self._entries),
-            }
 
 
 class CandidateLowerBound:
@@ -188,16 +82,6 @@ class CandidateLowerBound:
         volume = input_traffic + float(tensor_size_bytes("E", chain))
         memory_us = volume / (self.device.global_bandwidth_gbps * 1e3)
         return max(memory_us, self._compute_us(chain, candidate))
-
-    def for_chain(
-        self, chain: GemmChainSpec
-    ) -> Callable[[int, FusionCandidate], float]:
-        """:meth:`lower_bound` for ``chain``, as the search kernel takes it.
-
-        :func:`~repro.search.engine.analyze_and_rank` calls the bound with a
-        survivor's enumeration index and its candidate.
-        """
-        return lambda _index, candidate: self.lower_bound(chain, candidate)
 
     def chain_lower_bound(self, chain: GemmChainSpec) -> float:
         """A cost no candidate of ``chain`` can beat."""

@@ -29,7 +29,6 @@ from typing import List, Optional, Sequence
 
 from repro.dataflow.analyzer import DataflowAnalyzer
 from repro.hardware.spec import HardwareSpec
-from repro.ir.graph import GemmChainSpec
 from repro.search.cost_model import CostModel
 from repro.search.engine import (
     ProfilerFn,
@@ -38,7 +37,6 @@ from repro.search.engine import (
     Survivor,
     analyze_and_rank,
 )
-from repro.search.incremental import CandidateLowerBound, SubchainAnalysisCache
 from repro.search.space import SearchSpace
 
 
@@ -48,32 +46,20 @@ class ShardTask:
 
     device: HardwareSpec
     include_dsm: bool
-    incremental: bool
     cost_model: CostModel
     keep: int
     require_feasible: bool
-    lower_bound_prune: bool
     survivors: Sequence[Survivor]
 
 
 def _rank_shard(task: ShardTask) -> RankOutcome:
     """Run the analyze → rank kernel on one slice (in a worker process)."""
-    analyzer = DataflowAnalyzer(
-        task.device,
-        include_dsm=task.include_dsm,
-        analysis_cache=SubchainAnalysisCache() if task.incremental else None,
-    )
-    lower_bound = None
-    if task.lower_bound_prune:
-        bounds = CandidateLowerBound(task.device, task.cost_model)
-        lower_bound = bounds.for_chain(task.survivors[0][1].chain)
     return analyze_and_rank(
         task.survivors,
-        analyzer,
+        DataflowAnalyzer(task.device, include_dsm=task.include_dsm),
         task.cost_model,
         keep=task.keep,
         require_feasible=task.require_feasible,
-        lower_bound=lower_bound,
     )
 
 
@@ -82,9 +68,7 @@ class ParallelSearchEngine(SearchEngine):
 
     Returns the identical best plan, top-K ordering, per-rule pruning
     statistics and candidate counts as the serial engine; only the
-    analysis step runs in worker processes.  With ``lower_bound_prune``
-    each shard keeps its own running top-K, so ``candidates_analyzed`` may
-    differ from the serial engine's while the plans do not.
+    analysis step runs in worker processes.
 
     Parameters
     ----------
@@ -142,8 +126,6 @@ class ParallelSearchEngine(SearchEngine):
         max_candidates: Optional[int] = None,
         parallelism: Optional[int] = None,
         executor: Optional[Executor] = None,
-        incremental: bool = True,
-        lower_bound_prune: bool = False,
         transfer_bound: float = 2.0,
     ) -> None:
         super().__init__(
@@ -155,8 +137,6 @@ class ParallelSearchEngine(SearchEngine):
             cost_model=cost_model,
             require_feasible=require_feasible,
             max_candidates=max_candidates,
-            incremental=incremental,
-            lower_bound_prune=lower_bound_prune,
             transfer_bound=transfer_bound,
         )
         self.parallelism = max(
@@ -181,12 +161,10 @@ class ParallelSearchEngine(SearchEngine):
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def _analyze_and_rank(
-        self, chain: GemmChainSpec, survivors: Sequence[Survivor]
-    ) -> RankOutcome:
+    def _analyze_and_rank(self, survivors: Sequence[Survivor]) -> RankOutcome:
         shards = min(self.parallelism, len(survivors) // self.MIN_SHARD_SURVIVORS)
         if shards <= 1 or self.max_candidates is not None:
-            return super()._analyze_and_rank(chain, survivors)
+            return super()._analyze_and_rank(survivors)
         start = time.perf_counter()
         executor = self._ensure_executor()
         step = -(-len(survivors) // shards)
@@ -196,11 +174,9 @@ class ParallelSearchEngine(SearchEngine):
                 ShardTask(
                     device=self.device,
                     include_dsm=self.include_dsm,
-                    incremental=self.incremental,
                     cost_model=self.cost_model,
                     keep=self.top_k,
                     require_feasible=self.require_feasible,
-                    lower_bound_prune=self.lower_bound_prune,
                     survivors=survivors[offset : offset + step],
                 ),
             )
@@ -219,7 +195,7 @@ class ParallelSearchEngine(SearchEngine):
         return RankOutcome(
             plans=plans,
             analyzed=sum(outcome.analyzed for outcome in outcomes),
-            skipped=sum(outcome.skipped for outcome in outcomes),
+            skipped=0,
             analyze_s=merge_t0 - start,
             rank_s=merge_t1 - merge_t0,
         )

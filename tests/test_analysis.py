@@ -494,6 +494,21 @@ class TestLinter:
         assert found[0].path.endswith("OBSERVABILITY.md")
         assert "has no recording site" in found[0].message
 
+    def test_stale_plan_neutral_exemption_flagged(self, tmp_path):
+        root = _metric_tree(tmp_path, {"a.py": _RECORD_X})
+
+        def declare(fields):
+            body = "".join(f"    {name}: object = None\n" for name in sorted(fields))
+            (root / "config.py").write_text("class FuserConfig:\n" + body)
+
+        declare(PLAN_NEUTRAL_CONFIG_FIELDS)
+        assert run_repo_lint(package_root=root) == []
+        declare(PLAN_NEUTRAL_CONFIG_FIELDS - {"trace"})
+        found = run_repo_lint(package_root=root)
+        assert [v.check for v in found] == ["plan-neutral-fields"]
+        assert found[0].path.endswith("config.py")
+        assert "'trace'" in found[0].message
+
     def test_violation_rendering(self, linter):
         found = linter.lint_source(
             "def f(config):\n    return config.log_level\n",

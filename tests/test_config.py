@@ -1,8 +1,7 @@
 """Tests for the unified compiler API.
 
-Covers the PR-3 redesign: :class:`FuserConfig` round-tripping, the device
-registry, cache-key stability across old-kwargs and config construction,
-the deprecation shims (each warns exactly once), ``submit()`` future
+Covers :class:`FuserConfig` round-tripping, the device registry, cache-key
+stability across override and config construction, ``submit()`` future
 equivalence with ``compile()``, structured requests through the server, and
 a public-API snapshot guarding accidental surface changes.
 """
@@ -10,7 +9,6 @@ a public-API snapshot guarding accidental surface changes.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -30,7 +28,6 @@ from repro import (
     warmup_workloads,
 )
 from repro.api import FusionError
-from repro.config import reset_deprecation_warnings
 from repro.hardware.registry import device_name_of, unregister_device
 from repro.ir.builders import build_standard_ffn
 from repro.runtime.cache import plan_cache_key
@@ -39,10 +36,6 @@ from repro.runtime.cache import plan_cache_key
 def _tiny(name="cfg-tiny", m=64, n=256, k=128, l=128):
     _, spec = build_standard_ffn(name, m=m, n=n, k=k, l=l)
     return spec
-
-
-def _deprecations(records):
-    return [r for r in records if issubclass(r.category, DeprecationWarning)]
 
 
 # --------------------------------------------------------------------- #
@@ -220,75 +213,6 @@ class TestCacheKeyStability:
         assert response.cache_hit
         assert response.kernel.plan.summary() == old_kernel.plan.summary()
         assert response.kernel.source == old_kernel.source
-
-
-# --------------------------------------------------------------------- #
-# Deprecation shims
-# --------------------------------------------------------------------- #
-class TestDeprecationShims:
-    @pytest.fixture(autouse=True)
-    def _fresh_registry(self):
-        reset_deprecation_warnings()
-        yield
-        reset_deprecation_warnings()
-
-    def _record_twice(self, fn):
-        with warnings.catch_warnings(record=True) as records:
-            warnings.simplefilter("always")
-            fn()
-            fn()
-        return _deprecations(records)
-
-    def test_positional_device_warns_once(self, h100):
-        records = self._record_twice(lambda: FlashFuser(h100, top_k=2, max_tile=64))
-        assert len(records) == 1
-        assert "positional" in str(records[0].message)
-
-    def test_compile_parallelism_kwarg_warns_once(self, h100):
-        compiler = FlashFuser(device=h100, top_k=2, max_tile=64)
-        chain = _tiny("cfg-dep-compile")
-        records = self._record_twice(lambda: compiler.compile(chain, parallelism=1))
-        assert len(records) == 1
-        assert "parallelism" in str(records[0].message)
-
-    def test_search_config_warns_once(self, h100):
-        compiler = FlashFuser(device=h100, top_k=2, max_tile=64)
-        records = self._record_twice(compiler.search_config)
-        assert len(records) == 1
-        # The shim still answers with the canonical fields.
-        assert compiler.search_config() == compiler.config.cache_key_fields()
-
-    def test_batch_parallelism_warns_once(self, h100):
-        compiler = FlashFuser(device=h100, top_k=2, max_tile=64)
-        records = self._record_twice(
-            lambda: BatchCompiler(compiler, parallelism=2)
-        )
-        assert len(records) == 1
-        assert BatchCompiler(compiler, parallelism=2).parallelism == 2
-
-    def test_server_parallelism_warns_once(self, h100):
-        compiler = FlashFuser(device=h100, top_k=2, max_tile=64)
-        records = self._record_twice(
-            lambda: KernelServer(compiler=compiler, parallelism=1)
-        )
-        assert len(records) == 1
-
-    def test_warmup_parallelism_warns_once(self, h100):
-        compiler = FlashFuser(device=h100, top_k=2, max_tile=64)
-        records = self._record_twice(
-            lambda: warmup_workloads(
-                compiler, workload_ids=[], m_bins=(64,), parallelism=1
-            )
-        )
-        assert len(records) == 1
-
-    def test_new_style_construction_does_not_warn(self, h100):
-        with warnings.catch_warnings(record=True) as records:
-            warnings.simplefilter("always")
-            FlashFuser(device=h100, top_k=2, max_tile=64)
-            FlashFuser(FuserConfig(device="h100"), top_k=2)
-            BatchCompiler(FlashFuser(device=h100), overrides={"parallelism": 2})
-        assert not _deprecations(records)
 
 
 # --------------------------------------------------------------------- #
@@ -562,3 +486,7 @@ class TestPublicSurface:
     def test_unknown_override_rejected(self):
         with pytest.raises(TypeError):
             FlashFuser(beam_width=8)
+
+    def test_positional_device_rejected(self, h100):
+        with pytest.raises(TypeError, match="device="):
+            FlashFuser(h100)

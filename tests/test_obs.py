@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import threading
 
 import pytest
 
@@ -42,7 +43,7 @@ from repro.obs.summary import (
     summarize,
     to_chrome_trace,
 )
-from repro.obs.trace import SpanContext, Tracer, tracer
+from repro.obs.trace import Tracer, tracer
 from repro.runtime.server import KernelServer
 from repro.runtime.cache import PlanCache
 from repro.runtime.stats import ServingStats
@@ -202,6 +203,46 @@ class TestMetricsRegistry:
         for field, value in payload.items():
             if field != "hit_rate":
                 assert f"repro_cache_{field}_total {value}" in text
+
+    def test_scrape_while_recording_new_buckets(self):
+        # A recorder walks the latency across new log buckets while the
+        # main thread scrapes: each render must see one consistent state.
+        stats = ServingStats()
+        stats.record_request("G1", "table", 1.0)
+        stop = threading.Event()
+
+        def record():
+            value = 1.0
+            while not stop.is_set():
+                stats.record_request("G1", "table", value)
+                value = value * 1.07 if value < 1e9 else 1.0
+
+        writer = threading.Thread(target=record)
+        writer.start()
+        try:
+            for _ in range(400):
+                lines = stats.prometheus_text().splitlines()
+                buckets = [
+                    int(line.rsplit(" ", 1)[1])
+                    for line in lines
+                    if line.startswith("repro_serving_latency_us_bucket")
+                ]
+                (count,) = [
+                    int(line.rsplit(" ", 1)[1])
+                    for line in lines
+                    if line.startswith("repro_serving_latency_us_count")
+                ]
+                assert buckets == sorted(buckets)
+                assert buckets[-2] == buckets[-1] == count
+        finally:
+            stop.set()
+            writer.join()
+
+    def test_cache_stats_prometheus_text(self):
+        stats = PlanCache().stats
+        stats.inc("misses")
+        stats.inc("misses")
+        assert "repro_cache_misses_total 2" in stats.prometheus_text()
 
     def test_snapshot_is_deterministic(self):
         def build(order):

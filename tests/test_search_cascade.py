@@ -4,9 +4,11 @@
 :meth:`Pruner.prune` walks every candidate through the scalar rules and is
 the reference.  For every space below the two must give the same survivors
 in the same order, the same enumeration indices and the same Table III
-counts.  A full-suite test then compiles all 26 paper chains at the default
-configuration and compares each outcome with the pinned benchmark
-reference.
+counts.  :func:`analyze_and_rank` shares one analysis core between the
+adjacent gated modes of a cell; every result it ranks must equal a fresh
+:meth:`DataflowAnalyzer.analyze` of the same candidate.  A full-suite test
+then compiles all 26 paper chains at the default configuration and compares
+each outcome with the pinned benchmark reference.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.api import FlashFuser
 from repro.config import FuserConfig
+from repro.dataflow.analyzer import DataflowAnalyzer
 from repro.errors import FusionError
 from repro.hardware.spec import h100_spec
 from repro.ir.builders import build_gated_ffn, build_standard_ffn
@@ -27,7 +30,8 @@ from repro.ir.workloads import get_chain_spec
 from repro.obs import trace as obs_trace
 from repro.obs.trace import tracer
 from repro.runtime.cache import plan_cache_key
-from repro.search.engine import SearchEngine
+from repro.search.cost_model import CostModel
+from repro.search.engine import SearchEngine, analyze_and_rank
 from repro.search.pruning import Pruner, PruningRule
 from repro.search.space import SearchSpace
 
@@ -144,6 +148,76 @@ class TestCascadeMatchesWalk:
         _assert_cascade_matches_walk(
             device, chain, SearchSpace(device, max_tile=128), include_dsm=include_dsm
         )
+
+
+def _rank_every_survivor(analyzer, chain, space, include_dsm=True):
+    """Every survivor of ``chain`` through the ranking kernel, all kept."""
+    pruner = Pruner(analyzer.device, include_dsm=include_dsm)
+    survivors = pruner.cascade(chain, space.components(chain)).survivors()
+    outcome = analyze_and_rank(
+        survivors,
+        analyzer,
+        CostModel(analyzer.device),
+        keep=len(survivors),
+        require_feasible=False,
+    )
+    assert outcome.analyzed == len(outcome.plans) == len(survivors)
+    return survivors, outcome
+
+
+def _assert_reuse_matches_fresh(device, chain, space, include_dsm=True):
+    analyzer = DataflowAnalyzer(device, include_dsm=include_dsm)
+    _, outcome = _rank_every_survivor(analyzer, chain, space, include_dsm)
+    fresh = DataflowAnalyzer(device, include_dsm=include_dsm)
+    for _, _, candidate, result in outcome.plans:
+        expected = fresh.analyze(
+            candidate.chain,
+            candidate.schedule,
+            candidate.tile,
+            candidate.geometry,
+            gated_sequential=candidate.gated_sequential,
+        )
+        assert result == expected, candidate.label()
+
+
+class TestCellReuse:
+    def test_every_gated_suite_survivor_matches_fresh_analysis(self, device):
+        small = SearchSpace(device, max_tile=64)
+        for workload in ("S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8"):
+            _assert_reuse_matches_fresh(device, get_chain_spec(workload), small)
+        # The paper's default space (tiles up to 256) on its smallest chain.
+        _assert_reuse_matches_fresh(device, get_chain_spec("S6"), SearchSpace(device))
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        m=st.sampled_from([64, 128, 256]),
+        n=st.sampled_from([128, 256, 512]),
+        k=st.sampled_from([64, 128, 256]),
+        l=st.sampled_from([64, 128, 256]),
+        include_dsm=st.booleans(),
+    )
+    def test_drawn_gated_chain_matches_fresh_analysis(self, m, n, k, l, include_dsm):
+        device = h100_spec()
+        chain = build_gated_ffn("reuse-draw", m, n, k, l)[1]
+        _assert_reuse_matches_fresh(
+            device, chain, SearchSpace(device, max_tile=128), include_dsm=include_dsm
+        )
+
+    def test_gated_modes_share_one_core(self, device):
+        cells = []
+
+        class CountingAnalyzer(DataflowAnalyzer):
+            def analyze_core(self, chain, schedule, tile, geometry):
+                cells.append((schedule, tile, geometry))
+                return super().analyze_core(chain, schedule, tile, geometry)
+
+        survivors, _ = _rank_every_survivor(
+            CountingAnalyzer(device),
+            get_chain_spec("S6"),
+            SearchSpace(device, max_tile=64),
+        )
+        distinct = {(c.schedule, c.tile, c.geometry) for _, c in survivors}
+        assert len(cells) == len(distinct) < len(survivors)
 
 
 class TestSearchCounters:

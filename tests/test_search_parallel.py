@@ -247,7 +247,10 @@ class TestStackWiring:
         parallel_compiler = FlashFuser(
             device=device, top_k=5, max_tile=128, parallelism=4
         )
-        assert serial_compiler.search_config() == parallel_compiler.search_config()
+        assert (
+            serial_compiler.config.cache_key_fields()
+            == parallel_compiler.config.cache_key_fields()
+        )
 
     def test_batch_compiler_process_mode(self, device):
         chains = [
@@ -256,7 +259,7 @@ class TestStackWiring:
             _chain(name="par-batch-a"),  # duplicate: deduplicated, not recompiled
         ]
         with FlashFuser(device=device, top_k=3, max_tile=128) as compiler:
-            batch = BatchCompiler(compiler, parallelism=2)
+            batch = BatchCompiler(compiler, overrides={"parallelism": 2})
             report = batch.compile_chains(chains)
         assert report.deduplicated == 1
         assert report.failed == 0

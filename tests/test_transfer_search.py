@@ -1,11 +1,10 @@
-"""Incremental & transfer search: equivalence, admissibility, provenance.
+"""Transfer search: admissibility, equivalence, provenance.
 
-Three contracts are pinned here.  First, the plan-neutral knobs really are
-plan-neutral: disabling the subchain analysis cache, and disabling transfer
-(PR 2 style), reproduce the serial engine's selected plans bit for bit.
-Second, the candidate lower bound is admissible — it never exceeds the
-analysed cost — so best-first gating preserves the entire top-K, not just
-the winner.  Third, an accepted transfer search is provably within
+Two contracts are pinned here.  First, the candidate lower bound is
+admissible — it never exceeds the analysed cost — so the best-first
+skipping of :func:`~repro.search.engine.analyze_and_rank` (the rule the
+transfer search ranks its neighborhood with) preserves the entire top-K,
+not just the winner.  Second, an accepted transfer search is provably within
 ``transfer_bound`` of the full enumeration's winner, and its provenance
 (``mode="transfer"``, ``compiled:transfer`` serving source, search-effort
 counters) surfaces through the API, stats and perf-report layers.
@@ -24,11 +23,10 @@ from repro.hardware.spec import h100_spec
 from repro.ir.builders import build_gated_ffn, build_standard_ffn
 from repro.runtime.stats import ServingStats
 from repro.search.cost_model import CostModel
-from repro.search.engine import SearchEngine
+from repro.search.engine import SearchEngine, analyze_and_rank
 from repro.search.incremental import (
     CandidateLowerBound,
     ShapeIndex,
-    SubchainAnalysisCache,
     TransferSearch,
     TransferSeed,
     shape_distance,
@@ -59,6 +57,33 @@ def _engine(device, **kwargs):
     return SearchEngine(device, **kwargs)
 
 
+def _rank(device, chain, gated):
+    """Rank ``chain``'s survivors, best-first with bound skipping if ``gated``.
+
+    The survivors run in ``(lower bound, enumeration index)`` order, as in
+    :class:`TransferSearch`; without gating every survivor is analysed.
+    """
+    engine = _engine(device)
+    pruner = Pruner(device, include_dsm=engine.include_dsm)
+    survivors = pruner.cascade(chain, engine.space.components(chain)).survivors()
+    bounds = CandidateLowerBound(device, engine.cost_model)
+    bound = {
+        index: bounds.lower_bound(chain, candidate) for index, candidate in survivors
+    }
+    outcome = analyze_and_rank(
+        sorted(survivors, key=lambda pair: (bound[pair[0]], pair[0])),
+        engine.analyzer,
+        engine.cost_model,
+        keep=engine.top_k,
+        lower_bound=(lambda index, _candidate: bound[index]) if gated else None,
+    )
+    return outcome, len(survivors)
+
+
+def _assert_same_plans(ours, theirs):
+    assert [plan[:3] for plan in ours.plans] == [plan[:3] for plan in theirs.plans]
+
+
 def _assert_same_search(ours, theirs):
     assert ours.candidates_enumerated == theirs.candidates_enumerated
     assert len(ours.top_k) == len(theirs.top_k)
@@ -69,36 +94,6 @@ def _assert_same_search(ours, theirs):
     if ours.succeeded:
         assert ours.best.candidate == theirs.best.candidate
         assert ours.best.predicted_cost_us == theirs.best.predicted_cost_us
-
-
-class TestIncrementalCache:
-    def test_incremental_off_is_bit_identical(self, device):
-        for chain in (_chain(), _gated()):
-            on = _engine(device, incremental=True).search(chain)
-            off = _engine(device, incremental=False).search(chain)
-            assert on.candidates_analyzed == off.candidates_analyzed
-            _assert_same_search(on, off)
-
-    def test_gated_search_reuses_standard_prefix_cores(self, device):
-        engine = _engine(device, incremental=True)
-        engine.search(_chain())
-        before = engine.analysis_cache.stats()
-        engine.search(_gated())
-        after = engine.analysis_cache.stats()
-        # The gated chain normalises to the same subchain token, so its
-        # candidates that share (schedule, tile, geometry) hit the cores
-        # cached by the standard-FFN search instead of re-analysing.
-        assert after["hits"] > before["hits"]
-
-    def test_repeat_search_is_all_hits(self, device):
-        engine = _engine(device, incremental=True)
-        first = engine.search(_chain())
-        misses_after_first = engine.analysis_cache.stats()["misses"]
-        second = engine.search(_chain())
-        stats = engine.analysis_cache.stats()
-        assert stats["misses"] == misses_after_first
-        assert stats["hits"] >= first.candidates_analyzed
-        _assert_same_search(first, second)
 
 
 class TestLowerBound:
@@ -133,14 +128,12 @@ class TestLowerBound:
 
     def test_lb_gating_preserves_the_entire_topk(self, device):
         for chain in (_chain(), _gated(), _chain(m=128, n=512)):
-            plain = _engine(device).search(chain)
-            gated = _engine(device, lower_bound_prune=True).search(chain)
-            _assert_same_search(plain, gated)
-            assert gated.candidates_analyzed <= plain.candidates_analyzed
-            assert (
-                gated.candidates_analyzed + gated.candidates_skipped
-                <= plain.candidates_enumerated
-            )
+            plain, survivors = _rank(device, chain, gated=False)
+            gated, _ = _rank(device, chain, gated=True)
+            _assert_same_plans(plain, gated)
+            assert plain.analyzed == survivors and plain.skipped == 0
+            assert gated.skipped > 0
+            assert gated.analyzed + gated.skipped == survivors
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -151,9 +144,9 @@ class TestLowerBound:
     def test_lb_gating_equivalence_property(self, m, n, k):
         device = h100_spec()
         chain = _chain(m=m, n=n, k=k, name=f"lb-{m}-{n}-{k}")
-        plain = _engine(device).search(chain)
-        gated = _engine(device, lower_bound_prune=True).search(chain)
-        _assert_same_search(plain, gated)
+        plain, _ = _rank(device, chain, gated=False)
+        gated, _ = _rank(device, chain, gated=True)
+        _assert_same_plans(plain, gated)
 
 
 class TestTransferSearch:
