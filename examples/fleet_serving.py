@@ -64,21 +64,26 @@ def main() -> None:
         print(f"G10 x4 concurrently: sources {sorted(sources)}, {compiles} compile")
         assert compiles == 1, compiles
 
-        # 3. Failover: pin slow compiles to worker 0, kill it mid-flight.
+        # 3. Failover: queue compiles on worker 0, kill it mid-flight.  Each
+        # compile takes milliseconds, so queue 18 of them (three chains at
+        # every M bin) to have several in flight when the kill lands.
         results = []
         threads = [
             threading.Thread(
-                target=lambda t=target: results.append(
-                    fleet.request(t, 100, worker=0)
+                target=lambda t=target, m=m: results.append(
+                    fleet.request(t, m, worker=0)
                 ),
                 daemon=True,
             )
             for target in ("G7", "G8", "G9")
+            for m in CONFIG.m_bins
         ]
         for thread in threads:
             thread.start()
-        while fleet.queue_depths().get(0, 0) < 3:
-            time.sleep(0.01)
+        while fleet.queue_depths().get(0, 0) < 3 and any(
+            thread.is_alive() for thread in threads
+        ):
+            time.sleep(0.001)
         fleet.kill_worker(0)
         for thread in threads:
             thread.join(timeout=120.0)

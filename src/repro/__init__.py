@@ -38,7 +38,7 @@ from repro.hardware import (
     register_device,
 )
 from repro.ir import GemmChainSpec, OperatorGraph, get_workload, list_workloads
-from repro.search import ParallelSearchEngine, SearchEngine
+from repro.search import SearchEngine
 from repro.runtime import (
     BatchCompiler,
     KernelServer,
@@ -94,7 +94,6 @@ __all__ = [
     "canonicalize",
     "compile_graph",
     "extract_chains",
-    "ParallelSearchEngine",
     "SearchEngine",
     "BatchCompiler",
     "KernelServer",

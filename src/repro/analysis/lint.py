@@ -65,8 +65,6 @@ PLAN_NEUTRAL_CONFIG_FIELDS = frozenset(
         "device",
         # Cache wiring: where entries live, never what they contain.
         "cache",
-        # Search *effort* knob: same winner, different wall-clock.
-        "parallelism",
         # Graph canonicalization before extraction: changes which chains are
         # extracted from a model graph, never which plan a given chain
         # compiles to — per-chain cache entries stay valid either way (the

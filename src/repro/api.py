@@ -125,7 +125,7 @@ class CompileRequest:
     the chain's M extent (the runtime token/batch dimension); ``overrides``
     are per-request :class:`~repro.config.FuserConfig` field overrides,
     applied on top of the serving compiler's config — e.g.
-    ``{"parallelism": 8}`` to fan one cold search across processes without
+    ``{"top_k": 5}`` to profile fewer candidates for one request without
     touching the shared configuration.
 
     Example
@@ -205,7 +205,6 @@ class CompileResponse:
             "cache_key": self.cache_key,
             "elapsed_s": self.elapsed_s,
             "search": dict(self.config.cache_key_fields()),
-            "parallelism": self.config.parallelism,
             #: How the plan was found: "exact" enumeration or a warm-started
             #: "transfer" search seeded from the nearest compiled shape.
             "mode": getattr(self.kernel.search, "mode", "exact"),
@@ -227,7 +226,7 @@ class FlashFuser:
         ``FlashFuser(device="a100", top_k=5)`` construct the same compiler.
 
     Call :meth:`close` (or use the compiler as a context manager) to release
-    worker pools held by parallel search engines and :meth:`submit`.
+    the worker pool held by :meth:`submit`.
 
     Example
     -------
@@ -257,12 +256,12 @@ class FlashFuser:
         self.simulator = PerformanceSimulator(self.device)
         self.cost_model = CostModel(self.device)
         self.profiler = MemoryProfiler()
-        #: Engines memoized by their effective (device, search knobs,
-        #: parallelism) so repeated compiles reuse one worker pool instead of
-        #: re-forking per chain.  compile_request() is called concurrently
-        #: from submit()'s pool, so lazy construction is lock-guarded; the
-        #: lock is reentrant because engine construction resolves per-device
-        #: toolchains under the same lock.
+        #: Engines memoized by their effective (device, search knobs) so
+        #: repeated compiles reuse one engine and its analyzer caches.
+        #: compile_request() is called concurrently from submit()'s pool, so
+        #: lazy construction is lock-guarded; the lock is reentrant because
+        #: engine construction resolves per-device toolchains under the same
+        #: lock.
         self._engines: Dict[Tuple[object, ...], object] = {}
         self._engines_lock = make_lock("flashfuser-engines", reentrant=True)
         self._toolchains: Dict[str, Tuple[PerformanceSimulator, CostModel]] = {
@@ -288,10 +287,6 @@ class FlashFuser:
     @property
     def max_tile(self) -> int:
         return self.config.max_tile
-
-    @property
-    def parallelism(self) -> Optional[int]:
-        return self.config.parallelism
 
     @property
     def cache(self):
@@ -365,8 +360,7 @@ class FlashFuser:
         Requests run on this compiler's lazily created thread pool (or on
         ``executor`` when provided, e.g. by
         :class:`~repro.runtime.batch.BatchCompiler`); concurrent submissions
-        share the memoized search-engine pool, so a parallel engine is
-        forked once, not per future.  The future resolves to a
+        share the memoized search engines.  The future resolves to a
         :class:`CompileResponse`; a chain admitting no fused plan raises
         :class:`FusionError` from ``result()``.
         """
@@ -425,17 +419,13 @@ class FlashFuser:
         return KernelTable(chain=chain, kernels=kernels)
 
     def close(self) -> None:
-        """Release worker pools (search engines and the submit pool)."""
+        """Release the submit pool and the memoized search engines."""
         with self._pool_lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
         with self._engines_lock:
-            engines, self._engines = dict(self._engines), {}
-        for engine in engines.values():
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
+            self._engines = {}
 
     def __enter__(self) -> "FlashFuser":
         return self
@@ -550,8 +540,7 @@ class FlashFuser:
 
         Fingerprint-based (not ``id()``-based) so per-request overrides that
         pass fresh-but-identical spec objects reuse the existing toolchain
-        and engines instead of accumulating one entry (and, under parallel
-        search, one process pool) per request.
+        and engines instead of accumulating one entry per request.
         """
         if device is self.device:
             return _DEFAULT_DEVICE_KEY
@@ -571,26 +560,21 @@ class FlashFuser:
 
     def _engine_for(self, config: FuserConfig, device: HardwareSpec):
         """The (memoized) search engine for an effective configuration."""
-        parallelism = max(1, config.parallelism or 1)
         key = (
             self._device_key(device),
             config.top_k,
             config.include_dsm,
             config.max_tile,
-            parallelism,
             config.transfer_bound,
         )
         with self._engines_lock:
             engine = self._engines.get(key)
             if engine is None:
-                engine = self._make_engine(config, device, parallelism)
+                engine = self._make_engine(config, device)
                 self._engines[key] = engine
             return engine
 
-    def _make_engine(
-        self, config: FuserConfig, device: HardwareSpec, parallelism: int
-    ):
-        from repro.search.parallel import ParallelSearchEngine
+    def _make_engine(self, config: FuserConfig, device: HardwareSpec):
         from repro.search.space import SearchSpace
 
         simulator, cost_model = self._toolchain(device)
@@ -599,17 +583,6 @@ class FlashFuser:
             max_tile=config.max_tile,
             include_clusters=config.include_dsm,
         )
-        if parallelism > 1:
-            return ParallelSearchEngine(
-                device,
-                top_k=config.top_k,
-                include_dsm=config.include_dsm,
-                profiler=simulator.profile,
-                space=space,
-                cost_model=cost_model,
-                parallelism=parallelism,
-                transfer_bound=config.transfer_bound,
-            )
         return SearchEngine(
             device,
             top_k=config.top_k,
@@ -687,10 +660,10 @@ def compile_chain(
 
     Builds a throwaway compiler from ``config`` plus ``overrides``, compiles
     ``chain``, and returns the :class:`CompiledKernel`.  The compiler is
-    used as a context manager so any worker pools it spins up (a parallel
-    search engine, the submit pool) are released even when compilation
-    raises.  For more than one compile, construct a :class:`FlashFuser`
-    once and reuse it — engines and caches are memoized per instance.
+    used as a context manager so the submit pool it may spin up is
+    released even when compilation raises.  For more than one compile,
+    construct a :class:`FlashFuser` once and reuse it — engines and caches
+    are memoized per instance.
 
     Example
     -------

@@ -50,11 +50,6 @@ class FuserConfig:
     cache:
         Optional plan cache: a :class:`~repro.runtime.cache.PlanCache`
         instance, or a directory path from which one is created.
-    parallelism:
-        Cold-compile fan-out.  ``None`` or ``1`` runs the serial search
-        engine; a larger value splits the analysis of the pruned candidates
-        across that many worker processes.  Never part of the cache key — it
-        cannot change the selected plan.
     transfer:
         Warm-start cold compiles from the nearest previously compiled shape
         (same chain kind/device, different M/N/K): a bounded local search
@@ -97,7 +92,6 @@ class FuserConfig:
     include_dsm: bool = True
     max_tile: int = 256
     cache: Optional[Union["PlanCache", str, os.PathLike]] = None
-    parallelism: Optional[int] = None
     transfer: bool = False
     transfer_bound: float = 2.0
     rewrite: bool = True
@@ -108,8 +102,6 @@ class FuserConfig:
             raise ValueError("top_k must be >= 1")
         if self.max_tile < 1:
             raise ValueError("max_tile must be >= 1")
-        if self.parallelism is not None and self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1 (or None for serial)")
         if self.transfer_bound < 1.0:
             raise ValueError("transfer_bound must be >= 1.0")
 
@@ -143,8 +135,8 @@ class FuserConfig:
         ``include_dsm``, ``max_tile``, ``transfer`` and ``transfer_bound``
         (the transfer knobs can change which plan is selected, so they must
         partition the cache).  Device identity enters the key separately
-        (via the hardware fingerprint) and ``parallelism``, ``rewrite``,
-        ``trace`` and ``cache`` never do — they cannot change the selected
+        (via the hardware fingerprint) and ``rewrite``, ``trace`` and
+        ``cache`` never do — they cannot change the selected
         plan, so toggling them does not invalidate cached plans.
         """
         return {
@@ -195,7 +187,6 @@ class FuserConfig:
             "include_dsm": self.include_dsm,
             "max_tile": self.max_tile,
             "cache": cache,
-            "parallelism": self.parallelism,
             "transfer": self.transfer,
             "transfer_bound": self.transfer_bound,
             "rewrite": self.rewrite,

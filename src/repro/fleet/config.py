@@ -43,8 +43,10 @@ class FleetConfig:
         M bins of the front end's kernel server.
     device, top_k, include_dsm, max_tile, transfer:
         Compiler knobs of the fleet's :class:`~repro.config.FuserConfig`,
-        shared by the front end and every worker.  Workers always run the
-        serial search engine — the pool itself is the parallelism.  With
+        shared by the front end and every worker.  Each worker runs one
+        cold search at a time in-process (the array kernel of
+        :mod:`repro.search.engine`); the pool's width is the fleet's
+        compile parallelism.  With
         ``transfer`` enabled, a cold compile of a new M warm-starts from the
         nearest shape in the shared plan cache (source
         ``compiled:transfer``).

@@ -304,10 +304,11 @@ def compile_graph(
         (:meth:`~repro.sim.engine.PerformanceSimulator.library_grade`), since
         residual operators run as framework kernels.
 
-    Extracted chains are submitted through :meth:`FlashFuser.submit` — one
-    submission per canonical shape, so multi-chain graphs compile distinct
-    chains concurrently and identically shaped chains only once — each
-    request consulting the compiler's plan cache with exactly the key that
+    Extracted chains resolve through :meth:`FlashFuser.compile_request` —
+    one request per canonical shape, all but the last through
+    :meth:`FlashFuser.submit`, so multi-chain graphs compile distinct chains
+    concurrently and identically shaped chains only once — each request
+    consulting the compiler's plan cache with exactly the key that
     compiling the same :class:`~repro.ir.graph.GemmChainSpec` directly
     would use.
 
@@ -336,17 +337,27 @@ def compile_graph(
             graph, validate=validate, rewrite=compiler.config.rewrite
         )
         simulator = simulator or PerformanceSimulator.library_grade(compiler.device)
-        # One submission per canonical shape: a model with N identically
-        # shaped chains (e.g. every layer's FFN) runs one fusion search, not
-        # N — the same dedup the BatchCompiler applies to its jobs.
-        futures: Dict[str, object] = {}
+        # One request per canonical shape: a model with N identically shaped
+        # chains (e.g. every layer's FFN) runs one fusion search, not N —
+        # the same dedup the BatchCompiler applies to its jobs.
+        chains: Dict[str, GemmChainSpec] = {}
         for match in extraction.matches:
-            shape = match.chain.canonical_hash()
-            if shape not in futures:
-                futures[shape] = compiler.submit(CompileRequest(chain=match.chain))
-        # Settle every future before assembly so all chains compile
-        # concurrently (and to completion) even when one of them fails.
-        settled = {shape: _settle(future) for shape, future in futures.items()}
+            chains.setdefault(match.chain.canonical_hash(), match.chain)
+        requests = [
+            (shape, CompileRequest(chain=chain)) for shape, chain in chains.items()
+        ]
+        # The pool takes all shapes but the last, which resolves in this
+        # thread meanwhile, so a single-chain graph (a transformer layer)
+        # pays no thread handoff.  Every request settles before assembly so
+        # all chains compile to completion even when one of them fails.
+        futures = [
+            (shape, compiler.submit(request)) for shape, request in requests[:-1]
+        ]
+        settled = {
+            shape: _settle(compiler.compile_request, request)
+            for shape, request in requests[-1:]
+        }
+        settled.update((shape, _settle(future.result)) for shape, future in futures)
 
         def resolve(match: ChainMatch) -> Tuple[CompiledKernel, str, bool, float]:
             outcome = settled[match.chain.canonical_hash()]
@@ -361,10 +372,11 @@ def compile_graph(
             compiler.close()
 
 
-def _settle(future):
-    """A future's :class:`~repro.api.CompileResponse`, or its FusionError."""
+def _settle(resolve, *args):
+    """``resolve(*args)`` (a :class:`~repro.api.CompileResponse`), or its
+    :class:`FusionError`."""
     try:
-        return future.result()
+        return resolve(*args)
     except FusionError as exc:
         return exc
 

@@ -13,15 +13,10 @@ chain shape twice (or a shape already sitting in the attached
 once.  Failures (:class:`~repro.api.FusionError`) are captured per job
 instead of aborting the batch.
 
-A note on parallelism: the fusion search in this reproduction is pure
-Python, so under the GIL the thread pool alone overlaps cache/disk I/O but
-does not multiply search throughput across cores.
-:attr:`~repro.config.FuserConfig.parallelism` closes that gap: cold
-compiles are routed through the
-:class:`~repro.search.parallel.ParallelSearchEngine`, whose worker
-*processes* analyse slices of the pruned candidates and so sidestep the
-GIL.  Warm hits keep resolving through the thread pool — they never pay
-for a worker process.
+The thread pool overlaps cache/disk I/O and the numpy parts of cold
+searches; a cold search itself is one in-process array kernel
+(:func:`~repro.search.engine.score_cascade`), so there is no per-search
+fan-out to configure.
 """
 
 from __future__ import annotations
@@ -109,10 +104,8 @@ class BatchCompiler:
         shut down by this class and ``max_workers`` is ignored.
     overrides:
         Per-request :class:`~repro.config.FuserConfig` overrides applied to
-        every job in every batch (e.g. ``{"parallelism": 8}`` to route cold
-        compiles through the process-parallel engine).  Cached and
-        deduplicated jobs are unaffected, and compiled plans are identical
-        either way — only cold wall-clock changes.
+        every job in every batch (e.g. ``{"top_k": 5}``).  Cached and
+        deduplicated jobs are unaffected.
     config:
         Configuration for the internally constructed compiler when
         ``compiler`` is omitted.
@@ -150,14 +143,6 @@ class BatchCompiler:
         self.max_workers = max_workers or min(8, os.cpu_count() or 1)
         self.overrides: Dict[str, object] = dict(overrides or {})
         self._executor = executor
-
-    @property
-    def parallelism(self) -> Optional[int]:
-        """The effective cold-compile fan-out for this batch's jobs."""
-        override = self.overrides.get("parallelism")
-        if override is not None:
-            return int(override)
-        return self.compiler.config.parallelism
 
     def close(self) -> None:
         """Release an internally constructed compiler's worker pools.

@@ -121,7 +121,7 @@ class KernelServer:
         A :class:`~repro.config.FuserConfig` for the internally constructed
         compiler when ``compiler`` is omitted; any additional keyword
         arguments are applied as config overrides
-        (``KernelServer(config=FuserConfig(parallelism=4), top_k=5)``).
+        (``KernelServer(config=FuserConfig(max_tile=128), top_k=5)``).
 
     Example
     -------
@@ -175,11 +175,6 @@ class KernelServer:
         # same kernel run a single search instead of racing duplicates.
         self._inflight: Dict[Tuple[str, int], threading.Lock] = {}
 
-    @property
-    def parallelism(self) -> Optional[int]:
-        """The cold-compile fan-out for this server's misses."""
-        return self.compiler.config.parallelism
-
     # ------------------------------------------------------------------ #
     # Request path
     # ------------------------------------------------------------------ #
@@ -211,11 +206,10 @@ class KernelServer:
         bin_m = self.bin_for(runtime_m)
         # The shared kernel tables are keyed by (workload/shape, bin) only,
         # so they may serve and store solely kernels compiled under the
-        # server's own config.  parallelism and trace cannot change the
-        # selected plan; any other override reshapes it, so such requests
-        # bypass the table (they still resolve through the plan cache and
-        # compile path).
-        plan_neutral = set(overrides) <= {"parallelism", "trace"}
+        # server's own config.  trace cannot change the selected plan; any
+        # other override reshapes it, so such requests bypass the table
+        # (they still resolve through the plan cache and compile path).
+        plan_neutral = set(overrides) <= {"trace"}
         with tracer().span(
             "server.request", workload=key, m=runtime_m, bin=bin_m
         ) as span:

@@ -95,10 +95,8 @@ def warmup_workloads(
         Configuration for an internally constructed compiler.
     overrides:
         Per-request config overrides forwarded to the batch compiler (e.g.
-        ``{"parallelism": 8}`` — the fastest way to warm an empty cache,
-        since a cold suite is exactly a pile of independent cold compiles).
-        Ignored when an existing :class:`BatchCompiler` is passed (configure
-        it directly instead).
+        ``{"max_tile": 128}``).  Ignored when an existing
+        :class:`BatchCompiler` is passed (configure it directly instead).
 
     Returns a :class:`WarmupReport`: per-workload kernel tables plus
     compiled/cached/failed counts and the elapsed wall clock.
@@ -109,7 +107,7 @@ def warmup_workloads(
 
         from repro import FuserConfig, warmup_workloads
 
-        config = FuserConfig(cache="~/.cache/ff", parallelism=8)
+        config = FuserConfig(cache="~/.cache/ff")
         report = warmup_workloads(config, workload_ids=["G4", "G5"],
                                   m_bins=(64, 128, 256))
         print(report.succeeded, report.snapshot())

@@ -2,13 +2,12 @@
 
 The search engine explores loop schedules x cluster geometries x tile sizes,
 prunes the space with Rules 1-5 (:mod:`repro.search.pruning`, computed as
-masks over the space's axes), ranks the survivors with the minimax
-bandwidth cost model (:mod:`repro.search.cost_model`) and profiles the
+masks over the space's axes), analyses and prices every survivor with
+Algorithm 1 and the minimax bandwidth cost model
+(:mod:`repro.search.cost_model`) in one array kernel, and profiles the
 top-K candidates on the performance simulator to pick the final plan
 (:mod:`repro.search.engine`, Algorithm 2).  The unpruned exhaustive search
-used for the Table VIII comparison lives in :mod:`repro.search.brute_force`,
-and the process-parallel engine — same selected plan, the survivors'
-analysis fanned across workers — in :mod:`repro.search.parallel`.
+used for the Table VIII comparison lives in :mod:`repro.search.brute_force`.
 Admissible lower bounds and nearest-shape warm-start transfer live in
 :mod:`repro.search.incremental`.
 """
@@ -23,7 +22,6 @@ from repro.search.incremental import (
     seed_from_plan_dict,
     shape_family_key,
 )
-from repro.search.parallel import ParallelSearchEngine
 from repro.search.pruning import PruningRule, PruningStats, Pruner
 from repro.search.space import SearchSpace, SpaceComponents, initial_space_size
 from repro.search.brute_force import BruteForceSearch
@@ -33,7 +31,6 @@ __all__ = [
     "CostBreakdown",
     "CostModel",
     "FusionCandidate",
-    "ParallelSearchEngine",
     "SearchEngine",
     "SearchResult",
     "ShapeIndex",

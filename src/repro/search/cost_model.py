@@ -22,9 +22,10 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.dataflow.analyzer import DataflowResult
-from repro.hardware.memory import MemoryLevelName
+from repro.dataflow.analyzer import VOLUME_LEVELS, CellAnalysis, DataflowResult
+from repro.hardware.memory import MemoryHierarchy, MemoryLevelName
 from repro.hardware.spec import HardwareSpec
+from repro.ir.graph import GemmChainSpec
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,10 @@ class CostModel:
             raise ValueError("compute_efficiency must be in (0, 1]")
         self.device = device
         self.compute_efficiency = compute_efficiency
-        # Per-cluster-size bandwidth tables for the batched scorer; a pure
-        # function of the hardware, cached because every batch rebuilds the
-        # same few cluster sizes.
+        # Per-cluster-size hierarchies and bandwidth tables: pure functions
+        # of the hardware, cached because every candidate asks for one of
+        # the same few cluster sizes.
+        self._hierarchy_cache: Dict[int, MemoryHierarchy] = {}
         self._bandwidth_cache: Dict[int, Dict[str, Tuple[float, bool]]] = {}
 
     # ------------------------------------------------------------------ #
@@ -80,8 +82,8 @@ class CostModel:
     # ------------------------------------------------------------------ #
     def breakdown(self, result: DataflowResult) -> CostBreakdown:
         """Per-stage cost of one analysed candidate."""
-        cluster_size = result.geometry.blocks_per_cluster
-        hierarchy = self.device.memory_hierarchy_for_cluster(cluster_size)
+        hierarchy = self._hierarchy_for(result.geometry.blocks_per_cluster)
+        sms = self._occupied_sms(result)
 
         per_level: Dict[str, float] = {}
         for name, volume in result.volumes.items():
@@ -97,10 +99,10 @@ class CostModel:
             if name in (MemoryLevelName.REGISTER, MemoryLevelName.SMEM):
                 # Per-SM bandwidths aggregate across all SMs working on the
                 # problem; scale by the number of SMs the launch occupies.
-                bandwidth *= self._occupied_sms(result)
+                bandwidth *= sms
             per_level[name] = volume / (bandwidth * 1e3)
 
-        compute_us = self._compute_time_us(result)
+        compute_us = self._compute_time_us(result, sms)
         return CostBreakdown(per_level_us=per_level, compute_us=compute_us)
 
     def evaluate(self, result: DataflowResult) -> float:
@@ -110,49 +112,82 @@ class CostModel:
     def evaluate_batch(self, results: Sequence[DataflowResult]) -> np.ndarray:
         """Vectorized :meth:`evaluate` over many analysed candidates.
 
-        One numpy pass scores the whole batch: per-level costs become an
-        ``(N, levels)`` matrix, the compute stage one more column, and the
-        minimax objective a row-wise maximum.  Every arithmetic operation
-        mirrors the scalar path in the same order on the same float64
-        values, so the returned costs are bit-identical to calling
-        :meth:`evaluate` per result — the property that lets the search
-        engines score in batches without changing any ranking.
+        Lays the results' volumes out as an ``(N, levels)`` matrix and
+        prices it with the same array pass as :meth:`evaluate_cells`, so the
+        costs are bit-identical to calling :meth:`evaluate` per result.
         """
         count = len(results)
         if count == 0:
             return np.zeros(0, dtype=np.float64)
-        if type(self).evaluate is not CostModel.evaluate:
-            # A subclass that re-prices plans keeps its own scalar verdicts.
-            return np.array([self.evaluate(result) for result in results])
-
         # Column layout: the union of level names charged by the batch.
         names: List[str] = []
         for result in results:
             for name in result.volumes:
                 if name not in names:
                     names.append(name)
-        columns = {name: j for j, name in enumerate(names)}
-
-        volumes = np.zeros((count, max(1, len(names))), dtype=np.float64)
-        # Cells with zero volume divide by 1.0 and contribute a zero cost,
-        # matching the scalar path's skip of non-positive volumes.
-        bandwidths = np.ones_like(volumes)
-        occupied = np.empty(count, dtype=np.float64)
-        flops = np.empty(count, dtype=np.float64)
-
+        volumes = np.zeros((count, len(names)), dtype=np.float64)
         for i, result in enumerate(results):
-            sms = self._occupied_sms(result)
-            occupied[i] = sms
-            flops[i] = result.chain.total_flops()
-            table = self._level_bandwidths(result.geometry.blocks_per_cluster)
-            for name, volume in result.volumes.items():
-                if volume <= 0:
-                    continue
-                base, scaled = table[name]
-                j = columns[name]
-                volumes[i, j] = volume
-                bandwidths[i, j] = base * sms if scaled else base
+            for j, name in enumerate(names):
+                volumes[i, j] = result.volumes.get(name, 0.0)
+        return self._minimax(
+            volumes,
+            names,
+            np.array([r.geometry.blocks_per_cluster for r in results]),
+            np.array([self._occupied_sms(r) for r in results]),
+            np.array([float(r.chain.total_flops()) for r in results]),
+        )
 
+    def evaluate_cells(self, chain: GemmChainSpec, cells: CellAnalysis) -> np.ndarray:
+        """:meth:`evaluate` of every (cell, gated mode) of an array analysis.
+
+        Returns an ``(N, gated modes)`` array, bit-identical to
+        :meth:`evaluate` of the corresponding :class:`DataflowResult` (the
+        occupied-SM count restates :meth:`_occupied_sms` over the cells).
+        """
+        extents = np.array(
+            [chain.dimension_sizes()[dim] for dim in ("m", "n", "k", "l")],
+            dtype=np.int64,
+        )
+        factors = np.where(
+            cells.spatial,
+            np.maximum(1, extents // np.maximum(1, cells.blocks)),
+            cells.cls,
+        )
+        occupied = np.clip(np.prod(factors, axis=1), 1, self.device.num_sms)
+        rows, modes, levels = cells.volumes.shape
+        cluster_sizes = np.prod(cells.cls[:, :3], axis=1)
+        costs = self._minimax(
+            cells.volumes.reshape(rows * modes, levels),
+            VOLUME_LEVELS,
+            np.repeat(cluster_sizes, modes),
+            np.repeat(occupied, modes),
+            np.full(rows * modes, float(chain.total_flops())),
+        )
+        return costs.reshape(rows, modes)
+
+    def _minimax(
+        self,
+        volumes: np.ndarray,
+        names: Sequence[str],
+        cluster_sizes: np.ndarray,
+        occupied: np.ndarray,
+        flops: np.ndarray,
+    ) -> np.ndarray:
+        """Eq. 2 over rows of per-level volumes (columns named ``names``).
+
+        Every arithmetic operation mirrors :meth:`breakdown` and
+        :meth:`_compute_time_us` in the same order on the same float64
+        values.  Zero-volume cells divide by 1.0 and cost zero, matching
+        the scalar skip of non-positive volumes.
+        """
+        bandwidths = np.ones_like(volumes)
+        for size in np.unique(cluster_sizes).tolist():
+            table = self._level_bandwidths(int(size))
+            rows = cluster_sizes == size
+            for j, name in enumerate(names):
+                base, scaled = table[name]
+                bandwidths[rows, j] = base * occupied[rows] if scaled else base
+        bandwidths = np.where(volumes > 0, bandwidths, 1.0)
         level_costs = volumes / (bandwidths * 1e3)
 
         occupancy = occupied / self.device.num_sms
@@ -161,7 +196,8 @@ class CostModel:
         )
         effective_tflops = self.device.peak_fp16_tflops * efficiency
         compute_us = flops / (effective_tflops * 1e6)
-
+        if volumes.shape[1] == 0:
+            return compute_us
         return np.maximum(level_costs.max(axis=1), compute_us)
 
     def predicted_time_us(self, result: DataflowResult) -> float:
@@ -178,15 +214,23 @@ class CostModel:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _compute_time_us(self, result: DataflowResult) -> float:
+    def _compute_time_us(self, result: DataflowResult, sms: int) -> float:
         flops = result.chain.total_flops()
         # Launches that occupy only part of the machine sustain a lower
         # fraction of peak; the same derating is applied by the performance
         # simulator so the cost-model ranking and the profiling agree.
-        occupancy = self._occupied_sms(result) / self.device.num_sms
+        occupancy = sms / self.device.num_sms
         efficiency = self.compute_efficiency * max(0.25, min(1.0, occupancy))
         effective_tflops = self.device.peak_fp16_tflops * efficiency
         return flops / (effective_tflops * 1e6)
+
+    def _hierarchy_for(self, cluster_size: int) -> MemoryHierarchy:
+        """The device hierarchy for one cluster size (cached)."""
+        hierarchy = self._hierarchy_cache.get(cluster_size)
+        if hierarchy is None:
+            hierarchy = self.device.memory_hierarchy_for_cluster(cluster_size)
+            self._hierarchy_cache[cluster_size] = hierarchy
+        return hierarchy
 
     def _level_bandwidths(self, cluster_size: int) -> Dict[str, Tuple[float, bool]]:
         """Per-level ``(bandwidth_gbps, scales_with_sms)`` for one cluster size.
@@ -197,7 +241,7 @@ class CostModel:
         """
         table = self._bandwidth_cache.get(cluster_size)
         if table is None:
-            hierarchy = self.device.memory_hierarchy_for_cluster(cluster_size)
+            hierarchy = self._hierarchy_for(cluster_size)
             table = {}
             for name in MemoryLevelName.ORDER:
                 if hierarchy.has(name):
@@ -214,11 +258,11 @@ class CostModel:
         chain = result.chain
         tile = result.tile
         geometry = result.geometry
+        sizes = chain.dimension_sizes()
         blocks = 1
         for dim in ("m", "n", "k", "l"):
             if result.schedule.is_spatial(dim):
-                extent = chain.dimension_sizes()[dim]
-                blocks *= max(1, extent // max(1, tile.block_of(dim)))
+                blocks *= max(1, sizes[dim] // max(1, tile.block_of(dim)))
             else:
                 blocks *= geometry.size_of(dim)
         return max(1, min(self.device.num_sms, blocks))

@@ -1,14 +1,18 @@
 """Fusion search algorithm (Algorithm 2).
 
 The engine prunes the candidate space with Rules 1-5 (computed once per
-chain as masks over the space's axes, :meth:`Pruner.cascade`), analyses the
-survivors with the dataflow analyzer, scores them with the minimax cost
-model and keeps the top-K (:func:`analyze_and_rank`, the one candidate loop
-that the exact search, its process-parallel shards and the transfer search
-share), and finally "profiles" the top-K candidates — on real hardware this
-is an on-device measurement; in this reproduction it is the
-cycle-accurate-ish performance simulator (or any callable the caller
-provides) — to select the final execution plan.
+chain as masks over the space's axes, :meth:`Pruner.cascade`), then runs
+the array kernel :func:`score_cascade`: Algorithm 1 and the minimax cost
+model over every surviving (schedule, geometry, tile) cell and gated mode
+at once, as numpy arrays.  :func:`select_top_k` keeps the K cheapest rows
+by ``(cost, enumeration index)``, and only those K become
+:class:`FusionCandidate`/:class:`DataflowResult` objects.  Finally the
+engine "profiles" the top-K candidates — on real hardware this is an
+on-device measurement; in this reproduction it is the cycle-accurate-ish
+performance simulator (or any callable the caller provides) — to select the
+final execution plan.  The transfer search ranks its small neighbourhood
+one candidate at a time instead (:func:`analyze_and_rank`), so it can skip
+candidates by their lower bounds.
 """
 
 from __future__ import annotations
@@ -18,7 +22,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.dataflow.analyzer import (
+    CellAnalysis,
     DataflowAnalyzer,
     DataflowResult,
     SubchainAnalysis,
@@ -197,6 +204,105 @@ ScoredPlan = Tuple[float, int, FusionCandidate, DataflowResult]
 
 
 @dataclass
+class CellScores:
+    """A cascade's surviving cells, analysed and priced as arrays.
+
+    ``analysis`` has one row per analysed cell (a prefix of
+    ``cascade.cells``); the flat arrays have one row per analysed (cell,
+    gated mode) pair, in enumeration order — row ``r`` is cell
+    ``r // len(gated_modes)`` in mode ``r % len(gated_modes)``.
+    """
+
+    cascade: CascadeResult
+    analysis: CellAnalysis
+    #: Enumeration index, feasibility and minimax cost (us) of each row.
+    index: np.ndarray
+    feasible: np.ndarray
+    cost: np.ndarray
+    #: Wall time of the array analysis and of the pricing.
+    analyze_s: float
+    price_s: float
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def plan(self, row: int, analyzer: DataflowAnalyzer) -> ScoredPlan:
+        """Build the objects of one row (its analysis by the scalar path)."""
+        parts = self.cascade.components
+        modes = len(parts.gated_modes)
+        s, g, t = self.cascade.cells[row // modes].tolist()
+        candidate = FusionCandidate(
+            chain=self.cascade.chain,
+            schedule=parts.schedules[s],
+            tile=parts.tiles[t],
+            geometry=parts.geometries[g],
+            gated_sequential=parts.gated_modes[row % modes],
+        )
+        result = analyzer.analyze(
+            candidate.chain,
+            candidate.schedule,
+            candidate.tile,
+            candidate.geometry,
+            gated_sequential=candidate.gated_sequential,
+        )
+        return float(self.cost[row]), int(self.index[row]), candidate, result
+
+
+def score_cascade(
+    cascade: CascadeResult,
+    analyzer: DataflowAnalyzer,
+    cost_model: CostModel,
+    budget: Optional[int] = None,
+) -> CellScores:
+    """Algorithm 1 and the minimax cost of every survivor, as arrays.
+
+    With a ``budget`` only the first ``budget`` survivors in enumeration
+    order are analysed (a prefix of the cascade's rows).  The values are
+    bit-identical to :meth:`DataflowAnalyzer.analyze` and
+    :meth:`CostModel.evaluate` of each survivor.
+    """
+    parts = cascade.components
+    modes = len(parts.gated_modes)
+    rows = len(cascade) if budget is None else min(budget, len(cascade))
+    start = time.perf_counter()
+    analysis = analyzer.analyze_cells(
+        cascade.chain,
+        parts.schedules,
+        parts.geometries,
+        parts.tiles,
+        cascade.cells[: -(-rows // modes)],
+        parts.gated_modes,
+    )
+    priced = time.perf_counter()
+    cost = cost_model.evaluate_cells(cascade.chain, analysis).reshape(-1)[:rows]
+    return CellScores(
+        cascade=cascade,
+        analysis=analysis,
+        index=cascade.indices()[:rows],
+        feasible=np.repeat(analysis.feasible, modes)[:rows],
+        cost=cost,
+        analyze_s=priced - start,
+        price_s=time.perf_counter() - priced,
+    )
+
+
+def select_top_k(
+    cost: np.ndarray,
+    index: np.ndarray,
+    keep: int,
+    mask: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Positions of the ``keep`` smallest ``(cost, index)`` rows, best first.
+
+    Rows outside ``mask`` are never kept.  Ties in cost go to the smaller
+    enumeration index, so the selection does not depend on row order.
+    """
+    rows = np.arange(len(cost)) if mask is None else np.flatnonzero(mask)
+    order = np.lexsort((index[rows], cost[rows]))
+    return rows[order[:keep]]
+
+
+@dataclass
 class RankOutcome:
     """What :func:`analyze_and_rank` returns."""
 
@@ -204,9 +310,6 @@ class RankOutcome:
     plans: List[ScoredPlan]
     analyzed: int
     skipped: int
-    analyze_s: float
-    #: Scoring and top-K selection (including lower bounds, when used).
-    rank_s: float
 
 
 def analyze_and_rank(
@@ -215,44 +318,31 @@ def analyze_and_rank(
     cost_model: CostModel,
     keep: int,
     require_feasible: bool = True,
-    budget: Optional[int] = None,
     lower_bound: Optional[Callable[[int, FusionCandidate], float]] = None,
 ) -> RankOutcome:
-    """Analyze survivors in order and keep the ``keep`` cheapest.
+    """Analyse survivors one at a time into a running top-K.
 
-    The candidate loop of every search: the exact engines, their shards and
-    the transfer search.  Survivors are analysed in the given order (at most
-    ``budget`` of them), infeasible ones are dropped, and the rest are
-    scored with :meth:`CostModel.evaluate_batch`.  The top-K is the ``keep``
-    smallest ``(cost, enumeration index)`` pairs, a rule that does not
-    depend on the order of analysis, so shards merge exactly.
+    The transfer search's loop: its survivors arrive best-first by
+    admissible lower bound, and a survivor whose ``lower_bound`` (called
+    with its index and candidate) strictly exceeds the current K-th cost is
+    skipped unanalysed.  Its true cost is at least the bound, so it could
+    not have entered the top-K: the plans are the ``keep`` smallest
+    ``(cost, enumeration index)`` pairs either way, only ``analyzed``
+    shrinks.  Infeasible survivors are dropped when ``require_feasible``.
 
     Consecutive survivors of one (chain, schedule, tile, geometry) cell —
     the gated modes of a gated chain — share one
     :meth:`DataflowAnalyzer.analyze_core`, and each is assembled with its
-    own mode, exactly as :meth:`DataflowAnalyzer.analyze` would.  The
-    shared core lives in locals, so engines shared by threads need no lock.
-
-    With ``lower_bound`` (called with a survivor's index and candidate),
-    plans are scored one at a time into a running top-K, and a survivor
-    whose admissible bound strictly exceeds the current K-th cost is
-    skipped unanalysed.  Its true cost is at least the bound, so it could
-    not have entered the top-K: the plans are the same, only ``analyzed``
-    shrinks.
+    own mode, exactly as :meth:`DataflowAnalyzer.analyze` would.
     """
-    start = time.perf_counter()
-    analyze_s = 0.0
     analyzed = 0
     skipped = 0
-    feasible: List[Tuple[int, FusionCandidate, DataflowResult]] = []
     # The last cell analysed and its core (see the docstring).
     last_cell: Optional[tuple] = None
     core: Optional[SubchainAnalysis] = None
     # Max-heap of (-cost, -index, ...): the root is the worst kept plan.
     heap: List[Tuple[float, int, FusionCandidate, DataflowResult]] = []
     for index, candidate in survivors:
-        if budget is not None and analyzed >= budget:
-            break
         if (
             lower_bound is not None
             and len(heap) == keep
@@ -260,7 +350,6 @@ def analyze_and_rank(
         ):
             skipped += 1
             continue
-        analyze_t0 = time.perf_counter()
         cell = (
             candidate.chain,
             candidate.schedule,
@@ -271,12 +360,8 @@ def analyze_and_rank(
             core = analyzer.analyze_core(*cell)
             last_cell = cell
         result = analyzer.assemble(*cell, core, candidate.gated_sequential)
-        analyze_s += time.perf_counter() - analyze_t0
         analyzed += 1
         if require_feasible and not result.feasible:
-            continue
-        if lower_bound is None:
-            feasible.append((index, candidate, result))
             continue
         cost = cost_model.evaluate(result)
         entry = (-cost, -index, candidate, result)
@@ -285,25 +370,11 @@ def analyze_and_rank(
         elif (cost, index) < (-heap[0][0], -heap[0][1]):
             heapq.heapreplace(heap, entry)
 
-    if lower_bound is None:
-        costs = cost_model.evaluate_batch([result for _, _, result in feasible])
-        scored = (
-            (cost, index, candidate, result)
-            for cost, (index, candidate, result) in zip(costs.tolist(), feasible)
-        )
-    else:
-        scored = (
-            (-neg_cost, -neg_index, candidate, result)
-            for neg_cost, neg_index, candidate, result in heap
-        )
-    plans = heapq.nsmallest(keep, scored, key=lambda entry: (entry[0], entry[1]))
-    return RankOutcome(
-        plans=plans,
-        analyzed=analyzed,
-        skipped=skipped,
-        analyze_s=analyze_s,
-        rank_s=time.perf_counter() - start - analyze_s,
+    plans = sorted(
+        (-neg_cost, -neg_index, candidate, result)
+        for neg_cost, neg_index, candidate, result in heap
     )
+    return RankOutcome(plans=plans, analyzed=analyzed, skipped=skipped)
 
 
 def profile_top_k(
@@ -444,14 +515,24 @@ class SearchEngine:
         start = time.perf_counter()
         pruner = Pruner(self.device, include_dsm=self.include_dsm)
         cascade = pruner.cascade(chain, self.space.components(chain))
-        survivors = cascade.survivors()
         prune_s = time.perf_counter() - start
         if obs_trace.enabled():
             _emit_prune_span(chain, cascade, prune_s)
 
-        outcome = self._analyze_and_rank(survivors)
+        scores = score_cascade(
+            cascade, self.analyzer, self.cost_model, budget=self.max_candidates
+        )
+        rank_t0 = time.perf_counter()
+        kept = select_top_k(
+            scores.cost,
+            scores.index,
+            self.top_k,
+            scores.feasible if self.require_feasible else None,
+        )
+        plans = [scores.plan(row, self.analyzer) for row in kept.tolist()]
         profile_t0 = time.perf_counter()
-        top_k = profile_top_k(outcome.plans, self.profiler)
+        rank_s = scores.price_s + (profile_t0 - rank_t0)
+        top_k = profile_top_k(plans, self.profiler)
         profile_s = time.perf_counter() - profile_t0
 
         elapsed = time.perf_counter() - start
@@ -462,7 +543,7 @@ class SearchEngine:
                 start_us=end_us - elapsed * 1e6,
                 end_us=end_us,
                 chain=chain.name,
-                analyzed=outcome.analyzed,
+                analyzed=len(scores),
             )
         return SearchResult(
             chain=chain,
@@ -470,25 +551,14 @@ class SearchEngine:
             top_k=top_k,
             pruning_stats=cascade.stats,
             candidates_enumerated=cascade.stats.initial,
-            candidates_analyzed=outcome.analyzed,
+            candidates_analyzed=len(scores),
             search_time_s=elapsed,
             phase_times_us={
                 "enumerate_prune": prune_s * 1e6,
-                "analyze": outcome.analyze_s * 1e6,
-                "rank": outcome.rank_s * 1e6,
+                "analyze": scores.analyze_s * 1e6,
+                "rank": rank_s * 1e6,
                 "profile": profile_s * 1e6,
             },
-        )
-
-    def _analyze_and_rank(self, survivors: Sequence[Survivor]) -> RankOutcome:
-        """Analyze and rank the cascade's survivors (sharded by subclasses)."""
-        return analyze_and_rank(
-            survivors,
-            self.analyzer,
-            self.cost_model,
-            keep=self.top_k,
-            require_feasible=self.require_feasible,
-            budget=self.max_candidates,
         )
 
     def _transfer_search(self, chain: GemmChainSpec, seed) -> Optional[SearchResult]:

@@ -24,12 +24,13 @@ analyzer.  Rule 1 (divisible tile sizes) is inherited from prior work
 
 The ``rule*`` methods judge one candidate and are the reference oracle
 (:meth:`Pruner.prune`, the plan verifier and the baselines use them).  The
-search engines run :meth:`Pruner.cascade` instead: the rules split by axis
-— Rules 1-2 read only (geometry, tile), Rules 3-5 read the schedule plus a
+searches run :meth:`Pruner.cascade` instead: the rules split by axis —
+Rules 1-2 read only (geometry, tile), Rules 3-5 read the schedule plus a
 few cluster-tile extents, and no rule reads the gated mode — so the whole
 cascade over one chain's space is a handful of numpy masks over the
-:class:`~repro.search.space.SpaceComponents` axes, with the same survivors
-in the same order and the same Table III counts as the per-candidate walk.
+:class:`~repro.search.space.SpaceComponents` axes (Rule 1 is
+:meth:`Pruner.rule1_mask`), with the same survivors in the same order and
+the same Table III counts as the per-candidate walk.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ import numpy as np
 from repro.dataflow.footprint import ACCUMULATOR_ITEMSIZE, reused_tensor_footprint
 from repro.dataflow.loop_schedule import LoopSchedule
 from repro.dataflow.resource_map import default_budgets
+from repro.dataflow.tiling import TileConfig
+from repro.dsm_comm.geometry import ClusterGeometry
 from repro.hardware.spec import HardwareSpec
 from repro.ir.graph import GemmChainSpec
 from repro.search.space import FusionCandidate, SpaceComponents
@@ -123,29 +126,31 @@ class CascadeResult:
     def __len__(self) -> int:
         return len(self.cells) * len(self.components.gated_modes)
 
+    def indices(self) -> np.ndarray:
+        """Enumeration index of every (cell, gated mode) row, in order."""
+        parts = self.components
+        modes = len(parts.gated_modes)
+        stride_g = len(parts.tiles) * modes
+        stride_s = len(parts.geometries) * stride_g
+        s, g, t = self.cells.T
+        base = s * stride_s + g * stride_g + t * modes
+        return (base[:, None] + np.arange(modes)).reshape(-1)
+
     def survivors(self) -> List[Tuple[int, FusionCandidate]]:
         """``(enumeration index, candidate)`` pairs, in enumeration order."""
         parts = self.components
-        modes = parts.gated_modes
-        stride_g = len(parts.tiles) * len(modes)
-        stride_s = len(parts.geometries) * stride_g
-        pairs: List[Tuple[int, FusionCandidate]] = []
-        for s, g, t in self.cells.tolist():
-            base = s * stride_s + g * stride_g + t * len(modes)
-            for offset, gated_sequential in enumerate(modes):
-                pairs.append(
-                    (
-                        base + offset,
-                        FusionCandidate(
-                            chain=self.chain,
-                            schedule=parts.schedules[s],
-                            tile=parts.tiles[t],
-                            geometry=parts.geometries[g],
-                            gated_sequential=gated_sequential,
-                        ),
-                    )
-                )
-        return pairs
+        candidates = (
+            FusionCandidate(
+                chain=self.chain,
+                schedule=parts.schedules[s],
+                tile=parts.tiles[t],
+                geometry=parts.geometries[g],
+                gated_sequential=gated_sequential,
+            )
+            for s, g, t in self.cells.tolist()
+            for gated_sequential in parts.gated_modes
+        )
+        return list(zip(self.indices().tolist(), candidates))
 
 
 class Pruner:
@@ -201,6 +206,36 @@ class Pruner:
             if (padded - extent) / padded > self.MAX_PADDING_WASTE:
                 return False
         return True
+
+    def rule1_mask(
+        self,
+        chain: GemmChainSpec,
+        geometries: List[ClusterGeometry],
+        tiles: List[TileConfig],
+    ) -> np.ndarray:
+        """Rule 1 over a (geometry x tile) grid (it ignores the schedule).
+
+        Restates :meth:`rule1_divisible_tiles` cell-wise: the per-tile
+        checks run once per tile, and the divisibility and padding-waste
+        tests become integer and float64 array operations whose values
+        equal the scalar ones.
+        """
+        limits = self.device.cluster_limits
+        per_tile = np.array(
+            [tile.respects_mma(limits) and tile.fits_problem(chain) for tile in tiles],
+            dtype=bool,
+        )
+        sizes = chain.dimension_sizes()
+        extents = np.array([sizes[dim] for dim in "mnkl"], dtype=np.int64)
+        _, cluster = _tile_extents(geometries, tiles)
+        divides = extents % cluster == 0
+        padded = -(-extents // cluster) * cluster
+        # An extent the MMA granularity divides must be tiled exactly; an
+        # irregular one may be padded, within the waste cap.
+        padding_ok = (extents % limits.mma_tile[0] != 0) & (
+            (padded - extents) / padded <= self.MAX_PADDING_WASTE
+        )
+        return per_tile[None, :] & (divides | padding_ok).all(axis=2)
 
     def rule2_cluster_size(self, candidate: FusionCandidate) -> bool:
         """Rule 2: the cluster shape respects the hardware block limit."""
@@ -294,9 +329,10 @@ class Pruner:
 
         Gives the survivors, in order, and the Table III counts that
         :meth:`prune` gives for the components' full candidate stream, and
-        records the counts in :attr:`stats`.  Rules 1-2 run their scalar
-        predicate once per (geometry, tile) cell or geometry; Rules 3-5
-        become one (geometry x tile) mask per loop schedule.
+        records the counts in :attr:`stats`.  Rule 1 is one (geometry x
+        tile) mask (:meth:`rule1_mask`), Rule 2 runs its scalar predicate
+        once per geometry, and Rules 3-5 become one (geometry x tile) mask
+        per loop schedule.
         """
         schedules, geometries, tiles = (
             components.schedules,
@@ -310,25 +346,13 @@ class Pruner:
             cells = np.zeros((0, 3), dtype=np.int64)
             return CascadeResult(chain, components, cells, self.stats, clock.us)
 
-        # Rules 1-2 ignore the schedule: any one serves as the probe's.
-        probe = schedules[0]
-        rule1 = np.array(
-            [
-                [
-                    self.rule1_divisible_tiles(
-                        FusionCandidate(chain, probe, tile, geometry)
-                    )
-                    for tile in tiles
-                ]
-                for geometry in geometries
-            ],
-            dtype=bool,
-        )
+        rule1 = self.rule1_mask(chain, geometries, tiles)
         clock.charge(PruningRule.DIVISIBLE_TILES)
+        # Rule 2 ignores the schedule and tile: any one serves as the probe's.
         rule2 = np.array(
             [
                 self.rule2_cluster_size(
-                    FusionCandidate(chain, probe, tiles[0], geometry)
+                    FusionCandidate(chain, schedules[0], tiles[0], geometry)
                 )
                 for geometry in geometries
             ],
@@ -388,6 +412,20 @@ class Pruner:
         return list(self.prune(candidates))
 
 
+def _tile_extents(
+    geometries: List[ClusterGeometry], tiles: List[TileConfig]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Block extents per tile and cluster-tile extents per (geometry, tile).
+
+    Shapes ``(T, 4)`` and ``(G, T, 4)``, dimensions in (m, n, k, l) order.
+    """
+    cls = np.array([g.as_tuple() for g in geometries], dtype=np.int64)
+    blocks = np.array(
+        [[t.block_of(dim) for dim in "mnkl"] for t in tiles], dtype=np.int64
+    ).reshape(-1, 4)
+    return blocks, cls.reshape(-1, 1, 4) * blocks.reshape(1, -1, 4)
+
+
 class _RuleClock:
     """Charges the wall time since the last charge to one rule."""
 
@@ -417,15 +455,8 @@ class _CascadeGrid:
         rule2: np.ndarray,
     ) -> None:
         sizes = chain.dimension_sizes()
-        cls = np.array([g.as_tuple() for g in components.geometries], dtype=np.int64)
-        blocks = np.array(
-            [[t.block_of(dim) for dim in "mnkl"] for t in components.tiles],
-            dtype=np.int64,
-        )
-        # (geometry, tile) grids of cluster-tile extents, in (m, n, k, l) order.
-        cluster_m, cluster_n, cluster_k, cluster_l = (
-            cls[:, None, axis] * blocks[None, :, axis] for axis in range(4)
-        )
+        blocks, cluster = _tile_extents(components.geometries, components.tiles)
+        cluster_m, cluster_n, cluster_k, cluster_l = np.moveaxis(cluster, 2, 0)
         self.include_dsm = pruner.include_dsm
         self.k_covered = cluster_k >= sizes["k"]
         self.l_covered = cluster_l >= sizes["l"]

@@ -345,7 +345,7 @@ class TestLinter:
     @pytest.fixture()
     def linter(self):
         return Linter(
-            config_fields={"top_k", "max_tile", "parallelism", "log_level"},
+            config_fields={"top_k", "max_tile", "trace", "log_level"},
             key_fields={"top_k", "max_tile"},
         )
 
@@ -357,7 +357,7 @@ class TestLinter:
     def test_key_and_neutral_fields_pass(self, linter):
         source = (
             "def pick(config):\n"
-            "    return (config.top_k, config.max_tile, config.parallelism)\n"
+            "    return (config.top_k, config.max_tile, config.trace)\n"
         )
         assert linter.lint_source(source, key_drift=True) == []
 

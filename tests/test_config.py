@@ -49,7 +49,7 @@ class TestFuserConfig:
         assert config.include_dsm is True
         assert config.max_tile == 256
         assert config.cache is None
-        assert config.parallelism is None
+        assert config.transfer is False
 
     def test_cache_key_fields_format_is_pinned(self):
         # The exact dict the plan cache folds into its keys.  Changing this
@@ -78,7 +78,7 @@ class TestFuserConfig:
         with pytest.raises(ValueError):
             FuserConfig(max_tile=0)
         with pytest.raises(ValueError):
-            FuserConfig(parallelism=0)
+            FuserConfig(transfer_bound=0.5)
         # replace() re-validates like construction.
         with pytest.raises(ValueError):
             FuserConfig().replace(top_k=-1)
@@ -90,7 +90,7 @@ class TestFuserConfig:
             include_dsm=False,
             max_tile=64,
             cache="/tmp/flashfuser-plans",
-            parallelism=2,
+            transfer=True,
         )
         assert FuserConfig.from_dict(config.to_dict()) == config
 
@@ -239,10 +239,10 @@ class TestCompileRequest:
         assert CompileRequest(chain=chain).resolve_chain() is chain
 
     def test_overrides_are_snapshotted(self):
-        knobs = {"parallelism": 1}
+        knobs = {"top_k": 1}
         request = CompileRequest(workload="G1", overrides=knobs)
-        knobs["parallelism"] = 8
-        assert request.overrides == {"parallelism": 1}
+        knobs["top_k"] = 8
+        assert request.overrides == {"top_k": 1}
 
 
 class TestSubmitFutures:
@@ -277,7 +277,7 @@ class TestSubmitFutures:
             device=h100, top_k=2, max_tile=64, cache=PlanCache()
         ) as compiler:
             cold = compiler.submit(
-                CompileRequest(chain=chain, overrides={"parallelism": 1})
+                CompileRequest(chain=chain, overrides={"trace": False})
             ).result()
             warm = compiler.submit(CompileRequest(chain=chain)).result()
         assert cold.cache_key == warm.cache_key
@@ -342,14 +342,6 @@ class TestServerRequests:
             CompileRequest(workload="G1", m=64, overrides={"top_k": 3})
         )
         assert again.source == "cache:memory"
-
-    def test_server_parallelism_reflects_config(self):
-        server = KernelServer(
-            config=FuserConfig(top_k=2, max_tile=64, parallelism=2),
-            m_bins=(64,),
-        )
-        assert server.parallelism == 2
-        server.close()
 
 
 class TestPoolOwnership:
@@ -454,7 +446,6 @@ EXPECTED_EXPORTS = frozenset(
         "canonicalize",
         "compile_graph",
         "extract_chains",
-        "ParallelSearchEngine",
         "SearchEngine",
         "BatchCompiler",
         "KernelServer",

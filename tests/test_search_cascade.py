@@ -4,8 +4,8 @@
 :meth:`Pruner.prune` walks every candidate through the scalar rules and is
 the reference.  For every space below the two must give the same survivors
 in the same order, the same enumeration indices and the same Table III
-counts.  :func:`analyze_and_rank` shares one analysis core between the
-adjacent gated modes of a cell; every result it ranks must equal a fresh
+counts.  The array kernel (:func:`score_cascade`) analyses each cell once
+for all its gated modes; every row it prices must equal a fresh
 :meth:`DataflowAnalyzer.analyze` of the same candidate.  A full-suite test
 then compiles all 26 paper chains at the default configuration and compares
 each outcome with the pinned benchmark reference.
@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 
 from repro.api import FlashFuser
 from repro.config import FuserConfig
-from repro.dataflow.analyzer import DataflowAnalyzer
+from repro.dataflow.analyzer import VOLUME_LEVELS, DataflowAnalyzer
+from repro.dsm_comm.primitives import CommPlan
 from repro.errors import FusionError
 from repro.hardware.spec import h100_spec
 from repro.ir.builders import build_gated_ffn, build_standard_ffn
@@ -31,7 +32,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.trace import tracer
 from repro.runtime.cache import plan_cache_key
 from repro.search.cost_model import CostModel
-from repro.search.engine import SearchEngine, analyze_and_rank
+from repro.search.engine import SearchEngine, score_cascade
 from repro.search.pruning import Pruner, PruningRule
 from repro.search.space import SearchSpace
 
@@ -150,26 +151,24 @@ class TestCascadeMatchesWalk:
         )
 
 
-def _rank_every_survivor(analyzer, chain, space, include_dsm=True):
-    """Every survivor of ``chain`` through the ranking kernel, all kept."""
-    pruner = Pruner(analyzer.device, include_dsm=include_dsm)
-    survivors = pruner.cascade(chain, space.components(chain)).survivors()
-    outcome = analyze_and_rank(
-        survivors,
-        analyzer,
-        CostModel(analyzer.device),
-        keep=len(survivors),
-        require_feasible=False,
+def _score_every_survivor(device, chain, space, include_dsm=True):
+    """Every survivor of ``chain`` through the array kernel."""
+    cascade = Pruner(device, include_dsm=include_dsm).cascade(
+        chain, space.components(chain)
     )
-    assert outcome.analyzed == len(outcome.plans) == len(survivors)
-    return survivors, outcome
-
-
-def _assert_reuse_matches_fresh(device, chain, space, include_dsm=True):
     analyzer = DataflowAnalyzer(device, include_dsm=include_dsm)
-    _, outcome = _rank_every_survivor(analyzer, chain, space, include_dsm)
+    scores = score_cascade(cascade, analyzer, CostModel(device))
+    assert len(scores) == len(cascade)
+    return cascade, scores
+
+
+def _assert_rows_match_fresh(device, chain, space, include_dsm=True):
+    """Each row's volumes, feasibility and cost equal a fresh analysis."""
+    cascade, scores = _score_every_survivor(device, chain, space, include_dsm)
     fresh = DataflowAnalyzer(device, include_dsm=include_dsm)
-    for _, _, candidate, result in outcome.plans:
+    model = CostModel(device)
+    volumes = scores.analysis.volumes.reshape(len(scores), len(VOLUME_LEVELS))
+    for row, (_, candidate) in enumerate(cascade.survivors()):
         expected = fresh.analyze(
             candidate.chain,
             candidate.schedule,
@@ -177,16 +176,18 @@ def _assert_reuse_matches_fresh(device, chain, space, include_dsm=True):
             candidate.geometry,
             gated_sequential=candidate.gated_sequential,
         )
-        assert result == expected, candidate.label()
+        assert volumes[row].tolist() == [
+            expected.volumes.get(level, 0.0) for level in VOLUME_LEVELS
+        ], candidate.label()
+        assert bool(scores.feasible[row]) == expected.feasible
+        assert float(scores.cost[row]) == model.evaluate(expected)
 
 
 class TestCellReuse:
     def test_every_gated_suite_survivor_matches_fresh_analysis(self, device):
         small = SearchSpace(device, max_tile=64)
         for workload in ("S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8"):
-            _assert_reuse_matches_fresh(device, get_chain_spec(workload), small)
-        # The paper's default space (tiles up to 256) on its smallest chain.
-        _assert_reuse_matches_fresh(device, get_chain_spec("S6"), SearchSpace(device))
+            _assert_rows_match_fresh(device, get_chain_spec(workload), small)
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -199,25 +200,38 @@ class TestCellReuse:
     def test_drawn_gated_chain_matches_fresh_analysis(self, m, n, k, l, include_dsm):
         device = h100_spec()
         chain = build_gated_ffn("reuse-draw", m, n, k, l)[1]
-        _assert_reuse_matches_fresh(
+        _assert_rows_match_fresh(
             device, chain, SearchSpace(device, max_tile=128), include_dsm=include_dsm
         )
 
-    def test_gated_modes_share_one_core(self, device):
-        cells = []
+    def test_gated_modes_share_one_core(self, device, monkeypatch):
+        # One analysis row per cell serves both gated modes, and the
+        # dsm_comm plan is built once per distinct (geometry,
+        # clusters_per_output, gated mode), not once per row.
+        keys = []
+        build = CommPlan.build.__func__
 
-        class CountingAnalyzer(DataflowAnalyzer):
-            def analyze_core(self, chain, schedule, tile, geometry):
-                cells.append((schedule, tile, geometry))
-                return super().analyze_core(chain, schedule, tile, geometry)
+        def counting(
+            cls, chain, geometry, clusters_per_output=1, gated_sequential=False
+        ):
+            keys.append((geometry, clusters_per_output, gated_sequential))
+            return build(cls, chain, geometry, clusters_per_output, gated_sequential)
 
-        survivors, _ = _rank_every_survivor(
-            CountingAnalyzer(device),
-            get_chain_spec("S6"),
-            SearchSpace(device, max_tile=64),
+        monkeypatch.setattr(CommPlan, "build", classmethod(counting))
+        cascade, scores = _score_every_survivor(
+            device, get_chain_spec("S6"), SearchSpace(device, max_tile=64)
         )
-        distinct = {(c.schedule, c.tile, c.geometry) for _, c in survivors}
-        assert len(cells) == len(distinct) < len(survivors)
+        assert len(scores.analysis.footprint_bytes) == len(cascade.cells)
+        assert len(scores) == 2 * len(cascade.cells)
+        geometries = cascade.components.geometries
+        distinct = {
+            (geometries[g], int(cpo), mode)
+            for (_, g, _), cpo in zip(
+                cascade.cells.tolist(), scores.analysis.clusters_per_output
+            )
+            for mode in (False, True)
+        }
+        assert len(keys) == len(set(keys)) == len(distinct) < len(scores)
 
 
 class TestSearchCounters:
