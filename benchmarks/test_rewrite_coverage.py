@@ -56,7 +56,7 @@ def test_rewrite_unlocks_zoo_coverage(bench_report_dir):
         assert on.num_chains >= 1, entry
         assert on.flops_coverage() > off.flops_coverage() == 0.0
 
-        with FlashFuser(top_k=3, max_tile=128, rewrite=True) as compiler:
+        with FlashFuser(top_k=3, max_tile=128) as compiler:
             start = time.perf_counter()
             plan = compile_graph(graph, compiler=compiler)
             wall_s = time.perf_counter() - start

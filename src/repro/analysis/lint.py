@@ -65,14 +65,6 @@ PLAN_NEUTRAL_CONFIG_FIELDS = frozenset(
         "device",
         # Cache wiring: where entries live, never what they contain.
         "cache",
-        # Graph canonicalization before extraction: changes which chains are
-        # extracted from a model graph, never which plan a given chain
-        # compiles to — per-chain cache entries stay valid either way (the
-        # differential oracle tests in tests/test_rewrite.py pin this).
-        "rewrite",
-        # Observability opt-in: spans and metrics observe the search, they
-        # never steer it (see repro.obs).
-        "trace",
     }
 )
 
@@ -179,13 +171,6 @@ def _allowed_lines(source: str) -> Dict[int, Set[str]]:
         names = text[index + len(marker) :].split("]", 1)[0]
         allowed[number] = {name.strip() for name in names.split(",")}
     return allowed
-
-
-def _attr_root(node: ast.expr) -> Optional[str]:
-    """The base name of a (possibly chained) attribute access."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
 
 
 def _self_target_attr(node: ast.expr) -> Optional[str]:

@@ -45,7 +45,6 @@ from repro.hardware.cluster import ClusterLimits
 from repro.hardware.dsm import DsmModel
 from repro.hardware.memory import MemoryHierarchy, MemoryLevel
 from repro.hardware.spec import HardwareSpec
-from repro.ir.graph import GemmChainSpec
 from repro.search.pruning import Pruner
 from repro.search.space import FusionCandidate
 

@@ -26,7 +26,7 @@ import bisect
 import json
 import os
 import time
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -352,19 +352,16 @@ class FlashFuser:
             elapsed_s=time.perf_counter() - start,
         )
 
-    def submit(
-        self, request: CompileRequest, executor: Optional[Executor] = None
-    ) -> "Future[CompileResponse]":
+    def submit(self, request: CompileRequest) -> "Future[CompileResponse]":
         """Resolve a :class:`CompileRequest` asynchronously.
 
-        Requests run on this compiler's lazily created thread pool (or on
-        ``executor`` when provided, e.g. by
-        :class:`~repro.runtime.batch.BatchCompiler`); concurrent submissions
-        share the memoized search engines.  The future resolves to a
+        Requests run on this compiler's lazily created thread pool
+        (``min(8, cpu_count)`` wide); concurrent submissions share the
+        memoized search engines.  The future resolves to a
         :class:`CompileResponse`; a chain admitting no fused plan raises
         :class:`FusionError` from ``result()``.
         """
-        pool = executor if executor is not None else self._ensure_pool()
+        pool = self._ensure_pool()
         ctx = tracer().capture()
         if ctx is None:
             return pool.submit(self.compile_request, request)
@@ -390,10 +387,6 @@ class FlashFuser:
         :meth:`compile_request` for per-call config overrides.
         """
         return self.compile_request(CompileRequest(chain=chain)).kernel
-
-    def compile_uncached(self, chain: GemmChainSpec) -> CompiledKernel:
-        """Search, select and lower the best fused kernel for ``chain``."""
-        return self._compile_uncached(chain, self.config, self.device)
 
     def compile_workload(
         self, workload_id: str, m: Optional[int] = None
@@ -565,7 +558,6 @@ class FlashFuser:
             config.top_k,
             config.include_dsm,
             config.max_tile,
-            config.transfer_bound,
         )
         with self._engines_lock:
             engine = self._engines.get(key)
@@ -590,7 +582,6 @@ class FlashFuser:
             profiler=simulator.profile,
             space=space,
             cost_model=cost_model,
-            transfer_bound=config.transfer_bound,
         )
 
     def _ensure_pool(self) -> ThreadPoolExecutor:

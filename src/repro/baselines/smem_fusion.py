@@ -39,13 +39,6 @@ class ChimeraBaseline(Baseline):
             space=SearchSpace(self.device, include_clusters=False),
         )
 
-    # ------------------------------------------------------------------ #
-    # Capability probe used by the Figure 5 experiment
-    # ------------------------------------------------------------------ #
-    def can_fuse(self, chain: GemmChainSpec) -> bool:
-        """Whether single-SM fusion is feasible for this chain."""
-        return self._engine.search(chain).succeeded
-
     def required_smem_bytes(self, chain: GemmChainSpec) -> int:
         """SMEM the intermediate of a (128, N) tile needs — Figure 5's metric."""
         m_tile = min(128, chain.m)

@@ -2,14 +2,13 @@
 
 :class:`FuserConfig` is the single carrier for every search/compile knob the
 stack understands.  One frozen value object flows through
-:class:`~repro.api.FlashFuser`, :class:`~repro.runtime.batch.BatchCompiler`,
-:func:`~repro.runtime.warmup.warmup_workloads` and
-:class:`~repro.runtime.server.KernelServer` instead of each of them copying
-the same kwarg list, and :meth:`FuserConfig.cache_key_fields` is the one
-canonical definition of which knobs shape compiled plans — the plan cache
-derives its keys from it, so the key format cannot drift between call sites.
-The other fields — the device aside, which enters keys by its fingerprint —
-are plan-neutral: they change how a search runs, never which plan it picks.
+:class:`~repro.api.FlashFuser` and :class:`~repro.runtime.server.KernelServer`
+(batch compiles and warm-ups run through a ``FlashFuser``) instead of each
+of them copying the same kwarg list.  :meth:`FuserConfig.cache_key_fields`
+is the one canonical definition of which knobs shape compiled plans — the
+plan cache derives its keys from it, so the key format cannot drift between
+call sites.  The device enters keys by its fingerprint; ``cache`` only says
+where entries live, so it never enters them.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Union
 
 from repro.hardware.registry import device_name_of, get_device
 from repro.hardware.spec import HardwareSpec
+from repro.search.incremental import TRANSFER_BOUND
 
 if TYPE_CHECKING:
     from repro.runtime.cache import PlanCache
@@ -54,27 +54,10 @@ class FuserConfig:
         Warm-start cold compiles from the nearest previously compiled shape
         (same chain kind/device, different M/N/K): a bounded local search
         around the transferred plan replaces full enumeration when it stays
-        within ``transfer_bound`` of the chain's cost lower bound.  Off by
-        default — a transferred plan may differ from the exact search's, so
-        both knobs are part of the cache key.
-    transfer_bound:
-        Acceptance bound of transferred plans, as a factor over the chain's
-        admissible cost lower bound (must be >= 1.0).  Only meaningful with
-        ``transfer=True``.
-    rewrite:
-        Canonicalize operator graphs (:func:`repro.graphs.rewrite.canonicalize`)
-        before chain extraction, so export spellings — interior reshapes,
-        transposed weights, swapped gating operands, missing link
-        activations — still extract their fusible chains.  On by default.
-        Plan-neutral: rewriting changes *which* chains are extracted, never
-        which plan a given chain compiles to (an extracted chain has the
-        same canonical identity as the same chain built directly), so never
-        part of the cache key.
-    trace:
-        Observability opt-in carried alongside the compile knobs (see
-        :mod:`repro.obs.trace`; the ``REPRO_TRACE`` environment variable is
-        the usual switch).  Plan-neutral by construction — tracing can never
-        change a selected plan — so never part of the cache key.
+        within :data:`~repro.search.incremental.TRANSFER_BOUND` of the
+        chain's cost lower bound.  Off by default — a transferred plan may
+        differ from the exact search's, so the knob is part of the cache
+        key.
 
     Example
     -------
@@ -93,17 +76,12 @@ class FuserConfig:
     max_tile: int = 256
     cache: Optional[Union["PlanCache", str, os.PathLike]] = None
     transfer: bool = False
-    transfer_bound: float = 2.0
-    rewrite: bool = True
-    trace: bool = False
 
     def __post_init__(self) -> None:
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
         if self.max_tile < 1:
             raise ValueError("max_tile must be >= 1")
-        if self.transfer_bound < 1.0:
-            raise ValueError("transfer_bound must be >= 1.0")
 
     # ------------------------------------------------------------------ #
     # Derivation
@@ -133,18 +111,19 @@ class FuserConfig:
 
         This is the single canonical definition: exactly ``top_k``,
         ``include_dsm``, ``max_tile``, ``transfer`` and ``transfer_bound``
-        (the transfer knobs can change which plan is selected, so they must
-        partition the cache).  Device identity enters the key separately
-        (via the hardware fingerprint) and ``rewrite``, ``trace`` and
-        ``cache`` never do — they cannot change the selected
-        plan, so toggling them does not invalidate cached plans.
+        (transfer can change which plan is selected, so it must partition
+        the cache; its acceptance bound is the fixed
+        :data:`~repro.search.incremental.TRANSFER_BOUND`, kept in the key so
+        existing plan-cache entries keep their keys).  Device identity
+        enters the key separately (via the hardware fingerprint) and
+        ``cache`` never does.
         """
         return {
             "top_k": self.top_k,
             "include_dsm": self.include_dsm,
             "max_tile": self.max_tile,
             "transfer": self.transfer,
-            "transfer_bound": self.transfer_bound,
+            "transfer_bound": TRANSFER_BOUND,
         }
 
     # ------------------------------------------------------------------ #
@@ -188,9 +167,6 @@ class FuserConfig:
             "max_tile": self.max_tile,
             "cache": cache,
             "transfer": self.transfer,
-            "transfer_bound": self.transfer_bound,
-            "rewrite": self.rewrite,
-            "trace": self.trace,
         }
 
     @classmethod

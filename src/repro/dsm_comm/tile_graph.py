@@ -86,23 +86,6 @@ class TileGraph:
             found = [node for node in found if node.kind is kind]
         return found
 
-    def nodes_in_phase(self, phase: str) -> List[TileNode]:
-        """All nodes belonging to one execution phase."""
-        return [node for node in self.nodes() if node.phase == phase]
-
-    def communication_nodes(self) -> List[TileNode]:
-        """Nodes that are dsm_comm collectives."""
-        comm_kinds = {
-            TileOpKind.ALL_EXCHANGE,
-            TileOpKind.SHUFFLE,
-            TileOpKind.REDUCE_SCATTER,
-        }
-        return [node for node in self.nodes() if node.kind in comm_kinds]
-
-    def is_acyclic(self) -> bool:
-        """Whether the dataflow is a DAG (it always should be)."""
-        return nx.is_directed_acyclic_graph(self.graph)
-
     def topological_order(self) -> List[TileNode]:
         """Nodes in a valid execution order."""
         return [self.graph.nodes[name]["node"] for name in nx.topological_sort(self.graph)]

@@ -57,13 +57,6 @@ class CompilerCache:
             self._cache[workload_id] = self.compiler.compile(chain_for(workload_id))
         return self._cache[workload_id]
 
-    def get_chain(self, chain: GemmChainSpec) -> CompiledKernel:
-        """Compiled kernel for an explicit chain spec (cached by name+M)."""
-        key = f"{chain.name}:{chain.m}"
-        if key not in self._cache:
-            self._cache[key] = self.compiler.compile(chain)
-        return self._cache[key]
-
 
 def chain_for(workload_id: str) -> GemmChainSpec:
     """The canonical chain spec of one workload id."""

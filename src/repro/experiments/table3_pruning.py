@@ -7,14 +7,16 @@ The paper counts candidates for a GPT-6.7B-sized problem
 Enumerating 1e13 candidates is obviously impossible, so the counts are
 computed with the same factorisation the paper uses: schedules x cluster
 shapes are enumerated exactly, and the tile dimensions that a rule does not
-constrain contribute a closed-form factor.
+constrain contribute a closed-form factor.  Per schedule, the rules run as
+numpy masks over the (cluster shape, m/n/l tile) grid.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.dataflow.footprint import reused_tensor_footprint
+import numpy as np
+
 from repro.dataflow.loop_schedule import count_schedules, enumerate_schedules
 from repro.dataflow.tiling import TileConfig
 from repro.dsm_comm.geometry import ClusterGeometry
@@ -22,7 +24,7 @@ from repro.experiments.common import format_table
 from repro.hardware.spec import HardwareSpec, h100_spec
 from repro.ir.builders import build_standard_ffn
 from repro.ir.graph import GemmChainSpec
-from repro.search.pruning import Pruner, PruningRule
+from repro.search.pruning import Pruner, persistence_class, reused_footprints
 from repro.search.space import FusionCandidate, initial_space_size
 
 #: Paper's candidate counts for reference.
@@ -47,68 +49,95 @@ def _divisor_tiles(extent: int, mma: int = 16) -> List[int]:
     return [t for t in range(mma, extent + 1, mma) if extent % t == 0]
 
 
+def pruning_counts(
+    chain: Optional[GemmChainSpec] = None,
+    device: Optional[HardwareSpec] = None,
+    mma: int = 16,
+) -> Dict[str, float]:
+    """Exact candidate counts after each step, keyed like :data:`PAPER_COUNTS`."""
+    device = device or h100_spec()
+    chain = chain or gpt_6_7b_chain()
+    pruner = Pruner(device)
+    sizes = chain.dimension_sizes()
+    options = {
+        dim: np.array(_divisor_tiles(extent, mma), dtype=np.int64)
+        for dim, extent in sizes.items()
+    }
+    tile_count = _product(len(options[d]) for d in sizes)
+    raw_cluster_count = len(device.cluster_limits.allowed_dim_sizes) ** 4
+    schedules = enumerate_schedules()
+
+    counts = {
+        "original": initial_space_size(chain, device, mma=mma),
+        # Rule 1 constrains only the tile sizes; schedules and raw cluster
+        # shapes are unaffected.
+        "rule1": float(count_schedules()) * raw_cluster_count * tile_count,
+    }
+
+    # Rule 2 depends on the cluster shape alone.  Rules 3-5 are counted per
+    # schedule as masks over (geometry, m tile, n tile, l tile); Rule 3
+    # constrains only the k tile and no later rule reads it, so k enters as
+    # a per-geometry factor.
+    geometries = [
+        geometry
+        for geometry in ClusterGeometry.enumerate(
+            device.cluster_limits, validate=False
+        )
+        if pruner.rule2_cluster_size(_candidate(chain, schedules[0], geometry))
+    ]
+    counts["rule2"] = float(len(schedules) * len(geometries)) * tile_count
+    cls = np.array([g.as_tuple() for g in geometries], dtype=np.int64).reshape(-1, 4)
+    cls_m, cls_n, cls_k, cls_l = (cls[:, i, None] for i in range(4))
+    k_covered = (options["k"] * cls_k >= sizes["k"]).sum(axis=1)
+    l_covered = options["l"] * cls_l >= sizes["l"]
+    # Rule 5 footprints never depend on the k tile; broadcast to
+    # (geometry, m, n, l) and compared with each geometry's capacity.
+    footprints = reused_footprints(
+        chain,
+        (options["m"] * cls_m)[:, :, None, None],
+        (options["n"] * cls_n)[:, None, :, None],
+        (options["l"] * cls_l)[:, None, None, :],
+    )
+    capacity = np.array(
+        [
+            pruner._on_chip_capacity(
+                g.blocks_per_cluster if pruner.include_dsm else 1,
+                pruner.include_dsm and g.uses_dsm,
+            )
+            for g in geometries
+        ]
+    ).reshape(-1, 1, 1, 1)
+    grid = (len(geometries), len(options["m"]), len(options["n"]), len(options["l"]))
+    fits = {
+        kind: np.broadcast_to(footprint <= capacity, grid)
+        for kind, footprint in footprints.items()
+    }
+
+    rule3 = rule4 = rule5 = 0
+    mn_tiles = len(options["m"]) * len(options["n"])
+    all_l = np.ones_like(l_covered)
+    for schedule in schedules:
+        if schedule.is_temporal("k"):
+            innermost = schedule.innermost() == "k"
+            k_tiles = np.full(len(geometries), len(options["k"]) if innermost else 0)
+        else:
+            k_tiles = k_covered
+        l_tiles = l_covered if schedule.is_spatial("l") else all_l
+        rule3 += int(k_tiles.sum()) * mn_tiles * len(options["l"])
+        rule4 += int((k_tiles * l_tiles.sum(axis=1)).sum()) * mn_tiles
+        kept = fits[persistence_class(schedule)] & l_tiles[:, None, None, :]
+        rule5 += int((k_tiles * kept.sum(axis=(1, 2, 3))).sum())
+    counts.update(rule3=float(rule3), rule4=float(rule4), rule5=float(rule5))
+    return counts
+
+
 def run(
     chain: Optional[GemmChainSpec] = None,
     device: Optional[HardwareSpec] = None,
     mma: int = 16,
 ) -> List[Dict[str, object]]:
     """Candidate counts after each pruning rule."""
-    device = device or h100_spec()
-    chain = chain or gpt_6_7b_chain()
-    pruner = Pruner(device)
-    sizes = chain.dimension_sizes()
-    tile_options = {dim: _divisor_tiles(extent, mma) for dim, extent in sizes.items()}
-    raw_cluster_count = len(device.cluster_limits.allowed_dim_sizes) ** 4
-
-    schedules = enumerate_schedules()
-    geometries = list(ClusterGeometry.enumerate(device.cluster_limits, validate=False))
-
-    counts = {
-        "original": initial_space_size(chain, device, mma=mma),
-        # Rule 1 constrains only the tile sizes; schedules and raw cluster
-        # shapes are unaffected.
-        "rule1": float(count_schedules())
-        * raw_cluster_count
-        * _product(len(tile_options[d]) for d in sizes),
-    }
-
-    # Rules 2-5 are counted by enumerating (schedule, geometry) pairs exactly
-    # and multiplying by the number of tile choices each pair admits.  Rules
-    # 3-5 constrain at most the (m, n, k, l) tile dimensions individually, so
-    # the per-pair tile count factorises.
-    rule_totals = {PruningRule.CLUSTER_SIZE: 0.0, PruningRule.ACTIVATION: 0.0,
-                   PruningRule.DEPENDENCY: 0.0, PruningRule.MEMORY_CAPACITY: 0.0}
-    for schedule in schedules:
-        for geometry in geometries:
-            base_tiles = _product(len(tile_options[d]) for d in sizes)
-            if not pruner.rule2_cluster_size(_candidate(chain, schedule, geometry)):
-                continue
-            rule_totals[PruningRule.CLUSTER_SIZE] += base_tiles
-
-            k_tiles = _passing_tiles(
-                chain, schedule, geometry, pruner, tile_options, rule="rule3"
-            )
-            if k_tiles == 0:
-                continue
-            rule_totals[PruningRule.ACTIVATION] += k_tiles
-
-            l_tiles = _passing_tiles(
-                chain, schedule, geometry, pruner, tile_options, rule="rule4"
-            )
-            if l_tiles == 0:
-                continue
-            rule_totals[PruningRule.DEPENDENCY] += l_tiles
-
-            cap_tiles = _passing_tiles(
-                chain, schedule, geometry, pruner, tile_options, rule="rule5"
-            )
-            rule_totals[PruningRule.MEMORY_CAPACITY] += cap_tiles
-
-    counts["rule2"] = rule_totals[PruningRule.CLUSTER_SIZE]
-    counts["rule3"] = rule_totals[PruningRule.ACTIVATION]
-    counts["rule4"] = rule_totals[PruningRule.DEPENDENCY]
-    counts["rule5"] = rule_totals[PruningRule.MEMORY_CAPACITY]
-
+    counts = pruning_counts(chain, device, mma)
     rows: List[Dict[str, object]] = []
     previous = None
     for step, key in [
@@ -143,58 +172,9 @@ def _product(values) -> float:
     return result
 
 
-def _candidate(chain, schedule, geometry, tile: Optional[TileConfig] = None):
-    tile = tile or TileConfig(16, 16, 16, 16)
+def _candidate(chain, schedule, geometry):
+    tile = TileConfig(16, 16, 16, 16)
     return FusionCandidate(chain=chain, schedule=schedule, tile=tile, geometry=geometry)
-
-
-def _passing_tiles(chain, schedule, geometry, pruner, tile_options, rule: str) -> float:
-    """Tile combinations surviving up to and including ``rule``.
-
-    Rule 3 constrains only the k tile, Rule 4 only the l tile, and Rule 5
-    only the tiles entering the reused-tensor footprint (m, and n or l);
-    the untouched dimensions contribute their full option counts.
-    """
-    sizes = chain.dimension_sizes()
-    if rule == "rule3":
-        if schedule.is_temporal("k"):
-            passing_k = len(tile_options["k"]) if schedule.innermost() == "k" else 0
-        else:
-            passing_k = sum(
-                1 for t in tile_options["k"] if t * geometry.cls_k >= sizes["k"]
-            )
-        return passing_k * _product(len(tile_options[d]) for d in ("m", "n", "l"))
-
-    # Rules 4 and 5 build on rule 3's k filtering.
-    if schedule.is_temporal("k"):
-        k_count = len(tile_options["k"]) if schedule.innermost() == "k" else 0
-    else:
-        k_count = sum(1 for t in tile_options["k"] if t * geometry.cls_k >= sizes["k"])
-    if k_count == 0:
-        return 0.0
-
-    if schedule.is_spatial("l"):
-        l_options = [t for t in tile_options["l"] if t * geometry.cls_l >= sizes["l"]]
-    else:
-        l_options = list(tile_options["l"])
-    if rule == "rule4":
-        return k_count * len(l_options) * _product(len(tile_options[d]) for d in ("m", "n"))
-
-    # Rule 5: enumerate the (m, n, l) tiles that keep the reused tensor under
-    # the on-chip budget; the footprint never depends on the k tile.
-    on_chip = pruner._on_chip_capacity(
-        geometry.blocks_per_cluster if pruner.include_dsm else 1,
-        pruner.include_dsm and geometry.uses_dsm,
-    )
-    count = 0
-    for m_tile in tile_options["m"]:
-        for n_tile in tile_options["n"]:
-            for l_tile in l_options:
-                tile = TileConfig(m_tile, n_tile, 16, l_tile)
-                reused = reused_tensor_footprint(chain, schedule, tile, geometry)
-                if reused.footprint_bytes <= on_chip:
-                    count += 1
-    return count * k_count
 
 
 def main() -> None:

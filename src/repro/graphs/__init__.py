@@ -7,8 +7,8 @@ plans:
 * :mod:`repro.graphs.rewrite` — the rule-based canonicalizer that
   normalizes export spellings (interior reshapes, transposed weights,
   swapped gating operands, missing link activations) into the Figure-1
-  forms before matching, behind the plan-neutral ``FuserConfig.rewrite``
-  flag;
+  forms before matching (the graph compiler and model server always run
+  it);
 * :mod:`repro.graphs.extract` — the pattern matcher and chain extractor
   that partitions a model DAG into the fusible shapes of Figure 1
   (standard FFN, gated FFN, conv chain via im2col) plus residual operators,

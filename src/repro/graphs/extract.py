@@ -108,13 +108,6 @@ class ExtractionResult:
         """Number of fusible regions found."""
         return len(self.matches)
 
-    def fused_operator_names(self) -> Set[str]:
-        """Names of every operator covered by a match."""
-        names: Set[str] = set()
-        for match in self.matches:
-            names.update(match.operator_names)
-        return names
-
     def flops_coverage(self) -> float:
         """Fraction of graph FLOPs inside fusible regions (0.0 when empty)."""
         fused = sum(match.chain.total_flops() for match in self.matches)
@@ -139,7 +132,7 @@ def extract_chains(
     the Figure-1 forms, and the result records what was done in
     :attr:`ExtractionResult.rewrite`.  Off by default so direct calls stay
     a pure match over the caller's exact graph; the graph compiler and the
-    model server pass ``FuserConfig.rewrite`` (on by default) instead.
+    model server always rewrite.
 
     Example
     -------

@@ -330,12 +330,7 @@ def compile_graph(
     if owns_compiler:
         compiler = FlashFuser(config, **overrides)
     try:
-        # The rewrite stage is plan-neutral (it changes which chains exist,
-        # never which plan a chain compiles to), so the flag lives in the
-        # lint's plan-neutral allowlist rather than the cache key.
-        extraction = extract_chains(
-            graph, validate=validate, rewrite=compiler.config.rewrite
-        )
+        extraction = extract_chains(graph, validate=validate, rewrite=True)
         simulator = simulator or PerformanceSimulator.library_grade(compiler.device)
         # One request per canonical shape: a model with N identically shaped
         # chains (e.g. every layer's FFN) runs one fusion search, not N —

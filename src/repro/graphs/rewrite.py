@@ -32,10 +32,9 @@ saturation engines, applied to a greedy driver).
 
 Rewriting is **plan-neutral** with respect to the per-chain plan cache: it
 changes *which* chains are extracted, never which plan a given chain
-compiles to, so ``FuserConfig.rewrite`` lives in the plan-neutral allowlist
-of the ``cache-key-drift`` lint.  A chain extracted from a rewritten graph
-has the same canonical identity — hence the same plan-cache key — as the
-same chain built directly.
+compiles to.  A chain extracted from a rewritten graph has the same
+canonical identity — hence the same plan-cache key — as the same chain
+built directly.
 """
 
 from __future__ import annotations

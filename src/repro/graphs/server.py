@@ -19,7 +19,6 @@ per-chain stats.
 from __future__ import annotations
 
 import contextvars
-import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -93,7 +92,7 @@ class ModelServeResponse:
 
     @property
     def rewrite_provenance(self):
-        """The extraction's rewrite provenance (``None`` when rewrite is off)."""
+        """The extraction's rewrite provenance."""
         return self.plan.extraction.rewrite
 
     @property
@@ -399,21 +398,15 @@ class ModelServer:
         self, factory: GraphFactory, m: int
     ) -> Tuple[OperatorGraph, ExtractionResult]:
         graph = factory(m)
-        return graph, extract_chains(graph, rewrite=self._rewrite_enabled())
+        return graph, extract_chains(graph, rewrite=True)
 
     def _extract_cached(
         self, name: str, m: int, graph: OperatorGraph
     ) -> ExtractionResult:
-        rewrite = self._rewrite_enabled()
         return self._memoized_extraction(
             (name, m),
-            lambda: (graph, extract_chains(graph, validate=False, rewrite=rewrite)),
+            lambda: (graph, extract_chains(graph, validate=False, rewrite=True)),
         )[1]
-
-    def _rewrite_enabled(self) -> bool:
-        # Plan-neutral knob (see PLAN_NEUTRAL_CONFIG_FIELDS): rewriting
-        # changes which chains are extracted, never a chain's compiled plan.
-        return self.server.compiler.config.rewrite
 
     def _memoized_extraction(
         self,

@@ -49,21 +49,6 @@ class ClusterLimits:
         if len(self.mma_tile) != 3 or any(v < 1 for v in self.mma_tile):
             raise ValueError("mma_tile must be three positive integers")
 
-    @property
-    def min_block_m(self) -> int:
-        """Minimum block tile size along M (one MMA)."""
-        return self.mma_tile[0]
-
-    @property
-    def min_block_n(self) -> int:
-        """Minimum block tile size along N (one MMA)."""
-        return self.mma_tile[1]
-
-    @property
-    def min_block_k(self) -> int:
-        """Minimum block tile size along K (one MMA)."""
-        return self.mma_tile[2]
-
     def cluster_product_ok(self, *dims: int) -> bool:
         """Whether a set of per-dimension cluster sizes fits the hardware.
 

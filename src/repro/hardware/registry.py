@@ -14,7 +14,6 @@ experiments can then sweep :func:`list_devices` by name.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.analysis.locks import make_lock

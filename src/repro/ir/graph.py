@@ -349,10 +349,6 @@ class OperatorGraph:
                 intermediates.append(op.output)
         return intermediates
 
-    def io_tensors(self) -> List[TensorSpec]:
-        """Graph inputs plus graph outputs."""
-        return self.input_tensors() + self.output_tensors()
-
     def total_flops(self) -> int:
         """Sum of operator FLOP counts."""
         return sum(op.flops() for op in self._operators)

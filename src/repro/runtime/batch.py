@@ -1,8 +1,8 @@
-"""Batch compilation with cache deduplication and a worker pool.
+"""Batch compilation with cache deduplication.
 
 :class:`BatchCompiler` fans independent compile jobs — the M bins of a
-kernel table, or a multi-workload warmup sweep — across a
-``concurrent.futures`` thread pool.  It is a thin fan-out over
+kernel table, or a multi-workload warmup sweep — across its compiler's
+thread pool.  It is a thin fan-out over
 :meth:`~repro.api.FlashFuser.submit`: each deduplicated job becomes one
 :class:`~repro.api.CompileRequest`, and the resulting
 :class:`~repro.api.CompileResponse` provenance (cache hit/miss, wall clock)
@@ -13,19 +13,18 @@ chain shape twice (or a shape already sitting in the attached
 once.  Failures (:class:`~repro.api.FusionError`) are captured per job
 instead of aborting the batch.
 
-The thread pool overlaps cache/disk I/O and the numpy parts of cold
-searches; a cold search itself is one in-process array kernel
+The pool overlaps cache/disk I/O and the numpy parts of cold searches; a
+cold search itself is one in-process array kernel
 (:func:`~repro.search.engine.score_cascade`), so there is no per-search
 fan-out to configure.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.api import (
     CompiledKernel,
@@ -34,7 +33,6 @@ from repro.api import (
     FusionError,
     KernelTable,
 )
-from repro.config import FuserConfig
 from repro.ir.graph import GemmChainSpec
 from repro.ir.workloads import get_chain_spec
 
@@ -91,24 +89,10 @@ class BatchReport:
 class BatchCompiler:
     """Compile many chains concurrently through one :class:`FlashFuser`.
 
-    Parameters
-    ----------
-    compiler:
-        The compiler the jobs run through.  Attaching a cache to it makes
-        batches idempotent across calls and processes.  When omitted, a
-        compiler is built from ``config``.
-    max_workers:
-        Worker-pool width (defaults to ``min(8, cpu_count)``).
-    executor:
-        Optional externally managed executor; when provided it is *not*
-        shut down by this class and ``max_workers`` is ignored.
-    overrides:
-        Per-request :class:`~repro.config.FuserConfig` overrides applied to
-        every job in every batch (e.g. ``{"top_k": 5}``).  Cached and
-        deduplicated jobs are unaffected.
-    config:
-        Configuration for the internally constructed compiler when
-        ``compiler`` is omitted.
+    Jobs run on the compiler's own :meth:`~repro.api.FlashFuser.submit`
+    pool under its configuration; the compiler stays the caller's to close.
+    Attaching a cache to it makes batches idempotent across calls and
+    processes.
 
     Example
     -------
@@ -117,47 +101,16 @@ class BatchCompiler:
         from repro import BatchCompiler, FlashFuser, PlanCache
         from repro.ir.workloads import get_chain_spec
 
-        compiler = FlashFuser(cache=PlanCache(directory="~/.cache/ff"))
-        batch = BatchCompiler(compiler)
-        items = batch.compile_workloads(["G4", "G5", "S3"])
+        with FlashFuser(cache=PlanCache(directory="~/.cache/ff")) as compiler:
+            batch = BatchCompiler(compiler)
+            items = batch.compile_workloads(["G4", "G5", "S3"])
+            table = batch.compile_table(get_chain_spec("G4"), m_bins=(64, 128, 256))
         print({wid: item.status for wid, item in items.items()})
-        table = batch.compile_table(get_chain_spec("G4"), m_bins=(64, 128, 256))
         print(table.bins())
     """
 
-    def __init__(
-        self,
-        compiler: Optional[FlashFuser] = None,
-        max_workers: Optional[int] = None,
-        executor: Optional[Executor] = None,
-        config: Optional[FuserConfig] = None,
-        overrides: Optional[Mapping[str, object]] = None,
-    ) -> None:
-        owns_compiler = compiler is None
-        if compiler is None:
-            compiler = FlashFuser(config)
-        elif config is not None:
-            raise ValueError("pass either compiler= or config=, not both")
+    def __init__(self, compiler: FlashFuser) -> None:
         self.compiler = compiler
-        self._owns_compiler = owns_compiler
-        self.max_workers = max_workers or min(8, os.cpu_count() or 1)
-        self.overrides: Dict[str, object] = dict(overrides or {})
-        self._executor = executor
-
-    def close(self) -> None:
-        """Release an internally constructed compiler's worker pools.
-
-        A compiler passed in by the caller is the caller's to close; one
-        built from ``config`` is owned (and closed) here.
-        """
-        if self._owns_compiler:
-            self.compiler.close()
-
-    def __enter__(self) -> "BatchCompiler":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # ------------------------------------------------------------------ #
     # Batch entry points
@@ -182,26 +135,12 @@ class BatchCompiler:
             groups.setdefault(key, []).append(index)
         report.deduplicated = len(chains) - len(groups)
 
-        owns_executor = self._executor is None
-        executor = self._executor or ThreadPoolExecutor(max_workers=self.max_workers)
-        try:
-            futures = [
-                (
-                    indices,
-                    self.compiler.submit(
-                        CompileRequest(
-                            chain=chains[indices[0]], overrides=self.overrides
-                        ),
-                        executor=executor,
-                    ),
-                )
-                for indices in groups.values()
-            ]
-            for indices, future in futures:
-                self._record_group(report, chains, indices, future)
-        finally:
-            if owns_executor:
-                executor.shutdown(wait=True)
+        futures = [
+            (indices, self.compiler.submit(CompileRequest(chain=chains[indices[0]])))
+            for indices in groups.values()
+        ]
+        for indices, future in futures:
+            self._record_group(report, chains, indices, future)
 
         report.elapsed_s = time.perf_counter() - start
         return report

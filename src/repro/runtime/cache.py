@@ -593,11 +593,6 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def memory_keys(self) -> List[str]:
-        """Keys currently resident in the memory tier (LRU order)."""
-        with self._lock:
-            return list(self._entries)
-
     def disk_keys(self) -> List[str]:
         """Keys currently present in the disk store."""
         if self.directory is None or not self.directory.exists():

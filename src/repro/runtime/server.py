@@ -115,8 +115,6 @@ class KernelServer:
         The M bins requests are quantised to (ascending after dedup).
     stats:
         Metrics sink (a fresh :class:`ServingStats` when omitted).
-    max_workers:
-        Worker-pool width used by :meth:`warmup`.
     config:
         A :class:`~repro.config.FuserConfig` for the internally constructed
         compiler when ``compiler`` is omitted; any additional keyword
@@ -142,7 +140,6 @@ class KernelServer:
         cache=None,
         m_bins: Optional[Sequence[int]] = None,
         stats: Optional[ServingStats] = None,
-        max_workers: Optional[int] = None,
         config: Optional[FuserConfig] = None,
         **overrides: object,
     ) -> None:
@@ -167,7 +164,7 @@ class KernelServer:
             raise ValueError("m_bins must be positive")
         self.m_bins = bins
         self.stats = stats or ServingStats()
-        self.batch = BatchCompiler(compiler, max_workers=max_workers)
+        self.batch = BatchCompiler(compiler)
         self._tables: Dict[str, KernelTable] = {}
         self._chains: Dict[str, GemmChainSpec] = {}
         self._lock = make_lock("kernel-server", reentrant=True)
@@ -206,15 +203,13 @@ class KernelServer:
         bin_m = self.bin_for(runtime_m)
         # The shared kernel tables are keyed by (workload/shape, bin) only,
         # so they may serve and store solely kernels compiled under the
-        # server's own config.  trace cannot change the selected plan; any
-        # other override reshapes it, so such requests bypass the table
+        # server's own config.  Requests carrying overrides bypass the table
         # (they still resolve through the plan cache and compile path).
-        plan_neutral = set(overrides) <= {"trace"}
         with tracer().span(
             "server.request", workload=key, m=runtime_m, bin=bin_m
         ) as span:
-            if plan_neutral:
-                kernel, source = self._resolve_binned(key, base, bin_m, overrides)
+            if not overrides:
+                kernel, source = self._resolve_binned(key, base, bin_m)
             else:
                 binned = base.scaled(m=bin_m, name=f"{base.name}_m{bin_m}")
                 kernel, source = self._resolve_miss(binned, overrides)
@@ -233,7 +228,7 @@ class KernelServer:
             )
 
     def _resolve_binned(
-        self, key: str, base: GemmChainSpec, bin_m: int, overrides: Dict[str, object]
+        self, key: str, base: GemmChainSpec, bin_m: int
     ) -> Tuple[CompiledKernel, str]:
         """Serve ``(key, bin_m)`` from its kernel table, filling it on a miss.
 
@@ -257,7 +252,7 @@ class KernelServer:
             if kernel is not None:
                 return kernel, SOURCE_TABLE
             binned = base.scaled(m=bin_m, name=f"{base.name}_m{bin_m}")
-            kernel, source = self._resolve_miss(binned, overrides)
+            kernel, source = self._resolve_miss(binned, {})
             with self._lock:
                 table.kernels[bin_m] = kernel
             return kernel, source
@@ -285,11 +280,10 @@ class KernelServer:
         return report
 
     def close(self) -> None:
-        """Release compiler-held worker pools (idempotent).
+        """Release the compiler's submit pool (idempotent).
 
-        Long-lived deployments using parallel search should close the server
-        (or use it as a context manager) when retiring it, so the process
-        pool behind cold compiles does not outlive the serving loop.
+        Close the server (or use it as a context manager) when retiring it,
+        so the thread pool behind warm-ups does not outlive the serving loop.
         """
         self.compiler.close()
 

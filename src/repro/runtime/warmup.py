@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api import FlashFuser, KernelTable
-from repro.config import FuserConfig
 from repro.ir.workloads import get_chain_spec, list_workloads
 from repro.runtime.batch import STATUS_CACHED, STATUS_COMPILED, BatchCompiler
 
@@ -69,34 +68,22 @@ def default_warmup_workloads() -> List[str]:
 
 
 def warmup_workloads(
-    compiler: Optional[Union[FlashFuser, BatchCompiler, FuserConfig]] = None,
+    compiler: Union[FlashFuser, BatchCompiler],
     workload_ids: Optional[Sequence[str]] = None,
     m_bins: Sequence[int] = DEFAULT_WARMUP_M_BINS,
-    max_workers: Optional[int] = None,
-    config: Optional[FuserConfig] = None,
-    overrides: Optional[Mapping[str, object]] = None,
 ) -> WarmupReport:
     """Precompile every (workload, M-bin) pair through the batch compiler.
 
     Parameters
     ----------
     compiler:
-        A :class:`FlashFuser` (wrapped in a fresh :class:`BatchCompiler`),
-        an existing :class:`BatchCompiler`, or a
-        :class:`~repro.config.FuserConfig` from which a compiler is built.
-        Omitted entirely, ``config`` (or the defaults) apply.
+        A :class:`FlashFuser` (wrapped in a :class:`BatchCompiler`) or an
+        existing :class:`BatchCompiler`.  Jobs run under the compiler's
+        configuration on its pool, and the compiler stays open.
     workload_ids:
         Workloads to warm; defaults to the paper's GEMM and gated-FFN suites.
     m_bins:
         M bins compiled per workload.
-    max_workers:
-        Pool width when the batch compiler is constructed here.
-    config:
-        Configuration for an internally constructed compiler.
-    overrides:
-        Per-request config overrides forwarded to the batch compiler (e.g.
-        ``{"max_tile": 128}``).  Ignored when an existing
-        :class:`BatchCompiler` is passed (configure it directly instead).
 
     Returns a :class:`WarmupReport`: per-workload kernel tables plus
     compiled/cached/failed counts and the elapsed wall clock.
@@ -105,63 +92,37 @@ def warmup_workloads(
     -------
     ::
 
-        from repro import FuserConfig, warmup_workloads
+        from repro import FlashFuser, warmup_workloads
 
-        config = FuserConfig(cache="~/.cache/ff")
-        report = warmup_workloads(config, workload_ids=["G4", "G5"],
-                                  m_bins=(64, 128, 256))
+        with FlashFuser(cache="~/.cache/ff") as compiler:
+            report = warmup_workloads(compiler, workload_ids=["G4", "G5"],
+                                      m_bins=(64, 128, 256))
         print(report.succeeded, report.snapshot())
     """
     start = time.perf_counter()
-    owned: Optional[FlashFuser] = None
-    if isinstance(compiler, BatchCompiler):
-        batch = compiler
-    else:
-        if isinstance(compiler, FuserConfig):
-            if config is not None:
-                raise ValueError("pass either a FuserConfig or config=, not both")
-            fuser = owned = FlashFuser(compiler)
-        elif compiler is None:
-            fuser = owned = FlashFuser(config)
+    batch = compiler if isinstance(compiler, BatchCompiler) else BatchCompiler(compiler)
+    ids = list(workload_ids) if workload_ids is not None else default_warmup_workloads()
+    bins = sorted(set(m_bins))
+    if not bins:
+        raise ValueError("m_bins must be non-empty")
+    if any(m <= 0 for m in bins):
+        raise ValueError("m_bins must be positive")
+
+    jobs: List[Tuple[str, int]] = [(wid, m) for wid in ids for m in bins]
+    chains = [get_chain_spec(wid).scaled(m=m, name=f"{wid}_m{m}") for wid, m in jobs]
+    batch_report = batch.compile_chains(chains)
+
+    report = WarmupReport(jobs=len(jobs))
+    for (wid, m), item in zip(jobs, batch_report.items):
+        if item.status == STATUS_COMPILED:
+            report.compiled += 1
+        elif item.status == STATUS_CACHED:
+            report.cached += 1
         else:
-            fuser = compiler
-        batch = BatchCompiler(fuser, max_workers=max_workers, overrides=overrides)
-    try:
-        ids = (
-            list(workload_ids)
-            if workload_ids is not None
-            else default_warmup_workloads()
-        )
-        bins = sorted(set(m_bins))
-        if not bins:
-            raise ValueError("m_bins must be non-empty")
-        if any(m <= 0 for m in bins):
-            raise ValueError("m_bins must be positive")
-
-        jobs: List[Tuple[str, int]] = [(wid, m) for wid in ids for m in bins]
-        chains = [
-            get_chain_spec(wid).scaled(m=m, name=f"{wid}_m{m}") for wid, m in jobs
-        ]
-        batch_report = batch.compile_chains(chains)
-
-        report = WarmupReport(jobs=len(jobs))
-        for (wid, m), item in zip(jobs, batch_report.items):
-            if item.status == STATUS_COMPILED:
-                report.compiled += 1
-            elif item.status == STATUS_CACHED:
-                report.cached += 1
-            else:
-                report.failed += 1
-                report.failures[f"{wid}@m{m}"] = item.error or "fusion failed"
-                continue
-            table = report.tables.setdefault(
-                wid, KernelTable(chain=get_chain_spec(wid))
-            )
-            table.kernels[m] = item.kernel
-        report.elapsed_s = time.perf_counter() - start
-        return report
-    finally:
-        # A compiler constructed here is owned here: release its pools so a
-        # one-shot warmup cannot leak search-engine worker processes.
-        if owned is not None:
-            owned.close()
+            report.failed += 1
+            report.failures[f"{wid}@m{m}"] = item.error or "fusion failed"
+            continue
+        table = report.tables.setdefault(wid, KernelTable(chain=get_chain_spec(wid)))
+        table.kernels[m] = item.kernel
+    report.elapsed_s = time.perf_counter() - start
+    return report

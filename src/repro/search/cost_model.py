@@ -18,7 +18,7 @@ configurations are not ranked purely by their (tiny) memory cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -108,34 +108,6 @@ class CostModel:
     def evaluate(self, result: DataflowResult) -> float:
         """The minimax objective (Eq. 2) in microseconds — lower is better."""
         return self.breakdown(result).bottleneck_us
-
-    def evaluate_batch(self, results: Sequence[DataflowResult]) -> np.ndarray:
-        """Vectorized :meth:`evaluate` over many analysed candidates.
-
-        Lays the results' volumes out as an ``(N, levels)`` matrix and
-        prices it with the same array pass as :meth:`evaluate_cells`, so the
-        costs are bit-identical to calling :meth:`evaluate` per result.
-        """
-        count = len(results)
-        if count == 0:
-            return np.zeros(0, dtype=np.float64)
-        # Column layout: the union of level names charged by the batch.
-        names: List[str] = []
-        for result in results:
-            for name in result.volumes:
-                if name not in names:
-                    names.append(name)
-        volumes = np.zeros((count, len(names)), dtype=np.float64)
-        for i, result in enumerate(results):
-            for j, name in enumerate(names):
-                volumes[i, j] = result.volumes.get(name, 0.0)
-        return self._minimax(
-            volumes,
-            names,
-            np.array([r.geometry.blocks_per_cluster for r in results]),
-            np.array([self._occupied_sms(r) for r in results]),
-            np.array([float(r.chain.total_flops()) for r in results]),
-        )
 
     def evaluate_cells(self, chain: GemmChainSpec, cells: CellAnalysis) -> np.ndarray:
         """:meth:`evaluate` of every (cell, gated mode) of an array analysis.

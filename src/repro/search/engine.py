@@ -92,12 +92,6 @@ class SearchResult:
         """Whether any feasible fused plan was found."""
         return self.best is not None
 
-    def best_result(self) -> DataflowResult:
-        """The dataflow analysis of the selected plan."""
-        if self.best is None:
-            raise RuntimeError("search found no feasible fused plan")
-        return self.best.result
-
     def summary(self) -> "SearchSummary":
         """Compact, serializable summary of this search."""
         return SearchSummary.from_result(self)
@@ -207,10 +201,9 @@ ScoredPlan = Tuple[float, int, FusionCandidate, DataflowResult]
 class CellScores:
     """A cascade's surviving cells, analysed and priced as arrays.
 
-    ``analysis`` has one row per analysed cell (a prefix of
-    ``cascade.cells``); the flat arrays have one row per analysed (cell,
-    gated mode) pair, in enumeration order — row ``r`` is cell
-    ``r // len(gated_modes)`` in mode ``r % len(gated_modes)``.
+    ``analysis`` has one row per cell of ``cascade.cells``; the flat arrays
+    have one row per (cell, gated mode) pair, in enumeration order — row
+    ``r`` is cell ``r // len(gated_modes)`` in mode ``r % len(gated_modes)``.
     """
 
     cascade: CascadeResult
@@ -252,34 +245,29 @@ def score_cascade(
     cascade: CascadeResult,
     analyzer: DataflowAnalyzer,
     cost_model: CostModel,
-    budget: Optional[int] = None,
 ) -> CellScores:
     """Algorithm 1 and the minimax cost of every survivor, as arrays.
 
-    With a ``budget`` only the first ``budget`` survivors in enumeration
-    order are analysed (a prefix of the cascade's rows).  The values are
-    bit-identical to :meth:`DataflowAnalyzer.analyze` and
+    The values are bit-identical to :meth:`DataflowAnalyzer.analyze` and
     :meth:`CostModel.evaluate` of each survivor.
     """
     parts = cascade.components
-    modes = len(parts.gated_modes)
-    rows = len(cascade) if budget is None else min(budget, len(cascade))
     start = time.perf_counter()
     analysis = analyzer.analyze_cells(
         cascade.chain,
         parts.schedules,
         parts.geometries,
         parts.tiles,
-        cascade.cells[: -(-rows // modes)],
+        cascade.cells,
         parts.gated_modes,
     )
     priced = time.perf_counter()
-    cost = cost_model.evaluate_cells(cascade.chain, analysis).reshape(-1)[:rows]
+    cost = cost_model.evaluate_cells(cascade.chain, analysis).reshape(-1)
     return CellScores(
         cascade=cascade,
         analysis=analysis,
-        index=cascade.indices()[:rows],
-        feasible=np.repeat(analysis.feasible, modes)[:rows],
+        index=cascade.indices(),
+        feasible=np.repeat(analysis.feasible, len(parts.gated_modes)),
         cost=cost,
         analyze_s=priced - start,
         price_s=time.perf_counter() - priced,
@@ -437,15 +425,6 @@ class SearchEngine:
     require_feasible:
         Drop candidates whose persistent intermediate spills to global
         memory (the definition of a fusion failure).
-    max_candidates:
-        Analysis budget: only the first survivors in enumeration order are
-        analysed.  The pruning counts still cover the whole space.
-    transfer_bound:
-        Acceptance bound of warm-started transfer searches (used when
-        :meth:`search` is given a ``transfer_seed``): the transferred
-        plan's predicted cost must stay within this factor of the chain's
-        absolute lower bound, else the engine falls back to full
-        enumeration.
 
     Example
     -------
@@ -473,8 +452,6 @@ class SearchEngine:
         space: Optional[SearchSpace] = None,
         cost_model: Optional[CostModel] = None,
         require_feasible: bool = True,
-        max_candidates: Optional[int] = None,
-        transfer_bound: float = 2.0,
     ) -> None:
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
@@ -486,8 +463,6 @@ class SearchEngine:
         self.cost_model = cost_model or CostModel(device)
         self.analyzer = DataflowAnalyzer(device, include_dsm=self.include_dsm)
         self.require_feasible = require_feasible
-        self.max_candidates = max_candidates
-        self.transfer_bound = transfer_bound
 
     # ------------------------------------------------------------------ #
     # Algorithm 2
@@ -499,8 +474,9 @@ class SearchEngine:
         :class:`~repro.search.incremental.TransferSeed` from a previously
         compiled nearby shape), a bounded local search around the seed
         runs first; its result is returned (``mode="transfer"``) when it
-        passes the acceptance bound, otherwise the full enumeration runs
-        as usual.
+        passes the acceptance bound
+        (:data:`~repro.search.incremental.TRANSFER_BOUND`), otherwise the
+        full enumeration runs as usual.
         """
         if transfer_seed is not None:
             with tracer().span("search.transfer", chain=chain.name) as tspan:
@@ -519,9 +495,7 @@ class SearchEngine:
         if obs_trace.enabled():
             _emit_prune_span(chain, cascade, prune_s)
 
-        scores = score_cascade(
-            cascade, self.analyzer, self.cost_model, budget=self.max_candidates
-        )
+        scores = score_cascade(cascade, self.analyzer, self.cost_model)
         rank_t0 = time.perf_counter()
         kept = select_top_k(
             scores.cost,
@@ -574,7 +548,6 @@ class SearchEngine:
             top_k=self.top_k,
             include_dsm=self.include_dsm,
             require_feasible=self.require_feasible,
-            transfer_bound=self.transfer_bound,
             profiler=self.profiler,
             analyzer=self.analyzer,
         )

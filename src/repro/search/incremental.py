@@ -14,7 +14,7 @@ changing which plan a full search would select:
   search from the plan of the nearest previously compiled shape
   (:class:`ShapeIndex`), ranks its neighborhood best-first by those bounds,
   and accepts the result only when it is provably within
-  ``transfer_bound`` of the chain's absolute lower bound — otherwise the
+  :data:`TRANSFER_BOUND` of the chain's absolute lower bound — otherwise the
   caller falls back to full enumeration.
 """
 
@@ -42,6 +42,12 @@ from repro.search.pruning import Pruner, PruningStats
 from repro.search.space import FusionCandidate, SearchSpace, SpaceComponents
 
 _logger = get_logger(__name__)
+
+#: Acceptance bound of transferred plans: the neighbourhood's cheapest
+#: predicted cost must stay within this factor of the chain's admissible
+#: cost lower bound.  It is part of every plan-cache key
+#: (:meth:`~repro.config.FuserConfig.cache_key_fields`).
+TRANSFER_BOUND = 2.0
 
 
 class CandidateLowerBound:
@@ -253,11 +259,11 @@ class TransferSearch:
     neighborhood top-K is exact while most of it is skipped.
 
     The result is accepted only when the neighborhood's cheapest predicted
-    cost stays within ``transfer_bound`` times the chain's absolute lower
-    bound; since that bound also undercuts the full search's winner, an
-    accepted transfer carries a plan provably within ``transfer_bound`` of
-    optimal in its top-K.  A rejection returns ``None`` and the caller
-    falls back to full enumeration.
+    cost stays within :data:`TRANSFER_BOUND` times the chain's absolute
+    lower bound; since that bound also undercuts the full search's winner,
+    an accepted transfer carries a plan provably within
+    :data:`TRANSFER_BOUND` of optimal in its top-K.  A rejection returns
+    ``None`` and the caller falls back to full enumeration.
     """
 
     def __init__(
@@ -268,19 +274,15 @@ class TransferSearch:
         top_k: int = 11,
         include_dsm: bool = True,
         require_feasible: bool = True,
-        transfer_bound: float = 2.0,
         profiler=None,
         analyzer: Optional[DataflowAnalyzer] = None,
     ) -> None:
-        if transfer_bound < 1.0:
-            raise ValueError("transfer_bound must be >= 1.0")
         self.device = device
         self.space = space
         self.cost_model = cost_model
         self.top_k = top_k
         self.include_dsm = include_dsm and device.has_dsm
         self.require_feasible = require_feasible
-        self.transfer_bound = transfer_bound
         self.profiler = profiler
         self.analyzer = analyzer or DataflowAnalyzer(
             device, include_dsm=self.include_dsm
@@ -364,13 +366,13 @@ class TransferSearch:
         # that re-ranking must not void the certificate.
         chain_bound = self.bounds.chain_lower_bound(chain)
         certificate = min(plan.predicted_cost_us for plan in top_k)
-        if certificate > self.transfer_bound * chain_bound:
+        if certificate > TRANSFER_BOUND * chain_bound:
             log_event(
                 _logger,
                 "transfer-fallback",
                 chain=chain.name,
                 certificate_us=round(certificate, 3),
-                bound_us=round(self.transfer_bound * chain_bound, 3),
+                bound_us=round(TRANSFER_BOUND * chain_bound, 3),
             )
             return None
 

@@ -426,6 +426,44 @@ def _tile_extents(
     return blocks, cls.reshape(-1, 1, 4) * blocks.reshape(1, -1, 4)
 
 
+def persistence_class(schedule: LoopSchedule) -> str:
+    """The :func:`reused_footprints` class that persists under ``schedule``.
+
+    The cases of :func:`~repro.dataflow.footprint.reused_tensor_footprint`:
+    a full row of C (``l`` outside ``n``, both temporal), a full row of the
+    E accumulators (``n`` outside ``l``), the E cluster tile (``n``
+    temporal, ``l`` spatial) or the C cluster tile (``n`` spatial).
+    """
+    n_temporal = schedule.is_temporal("n")
+    if n_temporal and schedule.is_temporal("l"):
+        return "c_row" if schedule.is_outer_than("l", "n") else "e_row"
+    return "e_tile" if n_temporal else "c_tile"
+
+
+def reused_footprints(
+    chain: GemmChainSpec,
+    cluster_m: np.ndarray,
+    cluster_n: np.ndarray,
+    cluster_l: np.ndarray,
+) -> Dict[str, np.ndarray]:
+    """Rule 5 footprints (Figure 9) per persistence class, as arrays.
+
+    The arguments are cluster-tile extents (block tile x cluster size) that
+    broadcast against each other; each footprint equals
+    :func:`~repro.dataflow.footprint.reused_tensor_footprint` of the cells
+    whose schedule has that :func:`persistence_class`.
+    """
+    sizes = chain.dimension_sizes()
+    m_tile = np.minimum(cluster_m, sizes["m"])
+    itemsize = chain.itemsize
+    return {
+        "c_row": m_tile * sizes["n"] * itemsize,
+        "e_row": m_tile * sizes["l"] * ACCUMULATOR_ITEMSIZE,
+        "c_tile": m_tile * np.minimum(cluster_n, sizes["n"]) * itemsize,
+        "e_tile": m_tile * np.minimum(cluster_l, sizes["l"]) * ACCUMULATOR_ITEMSIZE,
+    }
+
+
 class _RuleClock:
     """Charges the wall time since the last charge to one rule."""
 
@@ -463,19 +501,11 @@ class _CascadeGrid:
         self.n_in_block = np.broadcast_to(
             blocks[None, :, 1] >= sizes["n"], self.l_covered.shape
         )
-        # Rule 5 footprints (Figure 9) per persistence class, compared with
-        # each geometry's on-chip capacity.  A geometry that fails Rule 2
-        # has no capacity (the device rejects its cluster size); it is
-        # already dead, so -1 stands in.
-        m_tile = np.minimum(cluster_m, sizes["m"])
-        itemsize = chain.itemsize
-        c_tile = m_tile * np.minimum(cluster_n, sizes["n"]) * itemsize
-        self._footprints = {
-            "c_row": m_tile * sizes["n"] * itemsize,
-            "e_row": m_tile * sizes["l"] * ACCUMULATOR_ITEMSIZE,
-            "c_tile": c_tile,
-            "e_tile": m_tile * np.minimum(cluster_l, sizes["l"]) * ACCUMULATOR_ITEMSIZE,
-        }
+        # Rule 5 footprints per persistence class, compared with each
+        # geometry's on-chip capacity.  A geometry that fails Rule 2 has no
+        # capacity (the device rejects its cluster size); it is already
+        # dead, so -1 stands in.
+        self._footprints = reused_footprints(chain, cluster_m, cluster_n, cluster_l)
         self._capacity = np.array(
             [
                 pruner._on_chip_capacity(
@@ -506,14 +536,7 @@ class _CascadeGrid:
 
     def rule5(self, schedule: LoopSchedule) -> np.ndarray:
         """Rule 5 over the grid."""
-        n_temporal = schedule.is_temporal("n")
-        l_temporal = schedule.is_temporal("l")
-        if n_temporal and l_temporal:
-            kind = "c_row" if schedule.is_outer_than("l", "n") else "e_row"
-        elif n_temporal:
-            kind = "e_tile"
-        else:
-            kind = "c_tile"
+        kind = persistence_class(schedule)
         fits = self._fits.get(kind)
         if fits is None:
             fits = self._footprints[kind] <= self._capacity

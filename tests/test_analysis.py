@@ -345,7 +345,7 @@ class TestLinter:
     @pytest.fixture()
     def linter(self):
         return Linter(
-            config_fields={"top_k", "max_tile", "trace", "log_level"},
+            config_fields={"top_k", "max_tile", "cache", "log_level"},
             key_fields={"top_k", "max_tile"},
         )
 
@@ -357,7 +357,7 @@ class TestLinter:
     def test_key_and_neutral_fields_pass(self, linter):
         source = (
             "def pick(config):\n"
-            "    return (config.top_k, config.max_tile, config.trace)\n"
+            "    return (config.top_k, config.max_tile, config.cache)\n"
         )
         assert linter.lint_source(source, key_drift=True) == []
 
@@ -462,7 +462,9 @@ class TestLinter:
             Path(repro.__file__).parent / "config.py"
         )
         assert key_fields == set(FuserConfig().cache_key_fields())
-        assert key_fields <= config_fields
+        # transfer_bound is the one key entry that is a fixed constant
+        # (TRANSFER_BOUND), not a settable field.
+        assert key_fields - config_fields == {"transfer_bound"}
         assert PLAN_NEUTRAL_CONFIG_FIELDS <= config_fields
         assert not (key_fields & PLAN_NEUTRAL_CONFIG_FIELDS)
 
@@ -503,11 +505,11 @@ class TestLinter:
 
         declare(PLAN_NEUTRAL_CONFIG_FIELDS)
         assert run_repo_lint(package_root=root) == []
-        declare(PLAN_NEUTRAL_CONFIG_FIELDS - {"trace"})
+        declare(PLAN_NEUTRAL_CONFIG_FIELDS - {"cache"})
         found = run_repo_lint(package_root=root)
         assert [v.check for v in found] == ["plan-neutral-fields"]
         assert found[0].path.endswith("config.py")
-        assert "'trace'" in found[0].message
+        assert "'cache'" in found[0].message
 
     def test_violation_rendering(self, linter):
         found = linter.lint_source(

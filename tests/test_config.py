@@ -14,7 +14,6 @@ import pytest
 
 import repro
 from repro import (
-    BatchCompiler,
     CompileRequest,
     FlashFuser,
     FuserConfig,
@@ -53,8 +52,8 @@ class TestFuserConfig:
 
     def test_cache_key_fields_format_is_pinned(self):
         # The exact dict the plan cache folds into its keys.  Changing this
-        # invalidates every persisted plan cache; the transfer knobs joined
-        # in PR 7 because they can change which plan is selected.
+        # invalidates every persisted plan cache; the transfer entries are
+        # there because transfer can change which plan is selected.
         assert FuserConfig(top_k=5, max_tile=128).cache_key_fields() == {
             "top_k": 5,
             "include_dsm": True,
@@ -77,8 +76,6 @@ class TestFuserConfig:
             FuserConfig(top_k=0)
         with pytest.raises(ValueError):
             FuserConfig(max_tile=0)
-        with pytest.raises(ValueError):
-            FuserConfig(transfer_bound=0.5)
         # replace() re-validates like construction.
         with pytest.raises(ValueError):
             FuserConfig().replace(top_k=-1)
@@ -276,8 +273,10 @@ class TestSubmitFutures:
         with FlashFuser(
             device=h100, top_k=2, max_tile=64, cache=PlanCache()
         ) as compiler:
+            # The device by registry name instead of the configured spec:
+            # the key folds in the hardware fingerprint, so it is unchanged.
             cold = compiler.submit(
-                CompileRequest(chain=chain, overrides={"trace": False})
+                CompileRequest(chain=chain, overrides={"device": "h100"})
             ).result()
             warm = compiler.submit(CompileRequest(chain=chain)).result()
         assert cold.cache_key == warm.cache_key
@@ -357,28 +356,10 @@ class TestPoolOwnership:
         monkeypatch.setattr(FlashFuser, "close", counting)
         return closed
 
-    def test_warmup_closes_internally_built_compiler(self, close_counter):
-        warmup_workloads(
-            config=FuserConfig(top_k=2, max_tile=64),
-            workload_ids=[],
-            m_bins=(64,),
-        )
-        assert close_counter["count"] == 1
-
     def test_warmup_leaves_caller_compilers_open(self, h100, close_counter):
         compiler = FlashFuser(device=h100, top_k=2, max_tile=64)
         warmup_workloads(compiler, workload_ids=[], m_bins=(64,))
         assert close_counter["count"] == 0
-        compiler.close()
-
-    def test_batch_compiler_closes_only_owned_compilers(self, h100, close_counter):
-        with BatchCompiler(config=FuserConfig(top_k=2, max_tile=64)):
-            pass
-        assert close_counter["count"] == 1
-        compiler = FlashFuser(device=h100, top_k=2, max_tile=64)
-        with BatchCompiler(compiler):
-            pass
-        assert close_counter["count"] == 1
         compiler.close()
 
 

@@ -23,18 +23,15 @@ from __future__ import annotations
 import pytest
 
 from repro.api import FlashFuser, FusionError
-from repro.analysis.lint import PLAN_NEUTRAL_CONFIG_FIELDS
 from repro.config import FuserConfig
 from repro.graphs import ModelServer, compile_graph, extract_chains
 from repro.graphs.rewrite import (
     DEFAULT_RULES,
     GraphEdit,
-    RewriteProvenance,
     canonicalize,
     graph_signature,
 )
 from repro.ir.builders import (
-    build_attention_ffn_variant,
     build_conv_chain,
     build_gated_ffn,
     build_moe_layer,
@@ -55,6 +52,7 @@ from repro.ir.ops import (
 from repro.ir.tensor import TensorSpec
 from repro.ir.workloads import get_model, get_zoo_graph, list_graph_zoo
 from repro.runtime import PlanCache
+from repro.runtime.cache import plan_cache_key
 
 TINY = dict(m=64, n=256, k=128, l=128)
 
@@ -351,11 +349,18 @@ class TestWiring:
         assert extract_chains(graph).rewrite is None
         assert extract_chains(graph, rewrite=True).num_chains == 1
 
-    def test_rewrite_flag_is_plan_neutral(self):
-        config = FuserConfig()
-        assert config.rewrite is True
-        assert "rewrite" in PLAN_NEUTRAL_CONFIG_FIELDS
-        assert "rewrite" not in config.cache_key_fields()
+    def test_rewrite_flag_is_plan_neutral(self, h100):
+        # Rewriting changes which chains are extracted, never a chain's
+        # plan-cache identity: the chain extracted through the rewrite
+        # stage keys like the directly built one.
+        graph, spec = build_standard_ffn("neutral", **TINY)
+        search = FuserConfig().cache_key_fields()
+        keys = {
+            plan_cache_key(match.chain, h100, search)
+            for rewrite in (False, True)
+            for match in extract_chains(graph, rewrite=rewrite).matches
+        }
+        assert keys == {plan_cache_key(spec, h100, search)}
 
     def test_plan_summary_carries_rewrite_provenance(self, h100):
         graph = get_zoo_graph("moe_layer", m=32)
@@ -367,14 +372,6 @@ class TestWiring:
             "order-commutative-operands": 2,
         }
         assert len(plan.fused_segments) == 2
-
-    def test_rewrite_off_compiler_plans_without_provenance(self, h100):
-        graph, _ = build_standard_ffn("off", **TINY)
-        with FlashFuser(
-            device=h100, top_k=3, max_tile=128, rewrite=False
-        ) as compiler:
-            plan = compile_graph(graph, compiler=compiler)
-        assert plan.summary()["rewrite"] is None
 
     def test_model_server_exposes_rewrite_provenance(self, h100):
         with ModelServer(device=h100, top_k=3, max_tile=128) as server:
@@ -426,21 +423,20 @@ class TestDifferentialOracle:
             assert graph_signature(result.graph) == graph_signature(graph)
 
     def test_rewrite_on_reuses_rewrite_off_cache_entries(self, h100, tmp_path):
-        # The strongest key oracle: plans compiled with rewrite off must be
-        # cache hits for a rewrite-on compiler over the same store.
+        # The strongest key oracle: plans compiled from the chains of a
+        # rewrite-off extraction must be cache hits for the graph compiler,
+        # which extracts through the rewrite stage, over the same store.
         graph, _ = build_standard_ffn("oracle", **TINY)
         cache = PlanCache(directory=tmp_path / "plans")
-        with FlashFuser(
-            device=h100, top_k=3, max_tile=128, cache=cache, rewrite=False
-        ) as compiler:
-            cold = compile_graph(graph, compiler=compiler)
-        assert cold.cache_hits == 0
-        with FlashFuser(
-            device=h100, top_k=3, max_tile=128, cache=cache, rewrite=True
-        ) as compiler:
+        with FlashFuser(device=h100, top_k=3, max_tile=128, cache=cache) as compiler:
+            cold = [
+                compiler.compile(match.chain) for match in extract_chains(graph).matches
+            ]
+        assert [kernel.from_cache for kernel in cold] == [False]
+        with FlashFuser(device=h100, top_k=3, max_tile=128, cache=cache) as compiler:
             warm = compile_graph(graph, compiler=compiler)
         assert warm.cache_hits == len(warm.fused_segments) == 1
-        assert warm.time_us == cold.time_us
+        assert warm.fused_segments[0].time_us == cold[0].time_us
 
     def test_identity_only_elimination_keeps_segment_costs(self, h100):
         # A graph whose only rewrites eliminate identity/dead movement ops

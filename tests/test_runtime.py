@@ -266,14 +266,14 @@ class TestKernelTableLookup:
 # --------------------------------------------------------------------- #
 class TestBatchCompiler:
     def test_duplicate_bins_searched_once(self, h100, search_calls):
-        batch = BatchCompiler(_compiler(h100, PlanCache()), max_workers=2)
+        batch = BatchCompiler(_compiler(h100, PlanCache()))
         table = batch.compile_table(_chain(), m_bins=(64, 64, 128, 128))
         assert table.bins() == [64, 128]
         assert search_calls["count"] == 2
         assert table.lookup(100).plan.chain.m == 128
 
     def test_duplicate_chains_fan_out_with_own_names(self, h100, search_calls):
-        batch = BatchCompiler(_compiler(h100, PlanCache()), max_workers=2)
+        batch = BatchCompiler(_compiler(h100, PlanCache()))
         report = batch.compile_chains([_chain("dup-a"), _chain("dup-b")])
         assert search_calls["count"] == 1
         assert report.deduplicated == 1
@@ -282,7 +282,7 @@ class TestBatchCompiler:
 
     def test_failures_do_not_abort_batch(self, h100, large_chain):
         compiler = FlashFuser(device=h100, include_dsm=False, top_k=3, max_tile=128)
-        batch = BatchCompiler(compiler, max_workers=2)
+        batch = BatchCompiler(compiler)
         report = batch.compile_chains([large_chain, _chain()])
         assert report.failed == 1
         assert report.compiled == 1
@@ -291,7 +291,7 @@ class TestBatchCompiler:
         assert report.items[1].ok
 
     def test_compile_workloads_reports_per_id(self, h100, search_calls):
-        batch = BatchCompiler(_compiler(h100, PlanCache()), max_workers=2)
+        batch = BatchCompiler(_compiler(h100, PlanCache()))
         results = batch.compile_workloads(["G1", "G1"])
         assert search_calls["count"] == 1
         assert results["G1"].ok
@@ -483,7 +483,7 @@ class TestServingStats:
 
 
 # --------------------------------------------------------------------- #
-# Satellites: exports and the max_candidates fix
+# Satellites: exports and the plan-cache directory
 # --------------------------------------------------------------------- #
 class TestPackageExports:
     def test_fusion_error_and_kernel_table_exported(self):

@@ -235,18 +235,14 @@ class TestCellReuse:
 
 
 class TestSearchCounters:
-    def test_budget_does_not_truncate_counts(self, device):
+    def test_counts_cover_the_whole_space(self, device):
         chain = get_chain_spec("G1")
         space = SearchSpace(device, max_tile=64)
-        full = SearchEngine(device, top_k=3, space=space).search(chain)
-        budgeted = SearchEngine(
-            device, top_k=3, space=space, max_candidates=10
-        ).search(chain)
-        assert budgeted.candidates_enumerated == full.candidates_enumerated == 5740
-        assert budgeted.pruning_stats.initial == full.pruning_stats.initial
-        assert budgeted.pruning_stats.surviving == full.pruning_stats.surviving
-        assert set(budgeted.pruning_stats.surviving) == set(PruningRule)
-        assert budgeted.candidates_analyzed == 10
+        result = SearchEngine(device, top_k=3, space=space).search(chain)
+        assert result.candidates_enumerated == result.pruning_stats.initial == 5740
+        assert set(result.pruning_stats.surviving) == set(PruningRule)
+        final = result.pruning_stats.surviving[PruningRule.MEMORY_CAPACITY]
+        assert result.candidates_analyzed == final
 
     def test_phases_keep_their_keys(self, device):
         result = SearchEngine(

@@ -140,11 +140,6 @@ class TestSearchEngine:
         with pytest.raises(ValueError):
             SearchEngine(device, top_k=0)
 
-    def test_max_candidates_caps_analysis(self, device):
-        engine = SearchEngine(device, top_k=3, max_candidates=10)
-        result = engine.search(_chain())
-        assert result.candidates_analyzed <= 10
-
 
 class TestBruteForce:
     def test_brute_force_finds_plan_and_counts_candidates(self, device):

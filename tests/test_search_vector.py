@@ -9,10 +9,14 @@ per-level volumes, feasibility and cost must equal the oracle's under
 ``==``, not ``approx``.  The engine built on the kernel must select the
 same top-K as a scalar search, and Rule 1's mask must equal
 :meth:`Pruner.rule1_divisible_tiles` cell by cell.
+:func:`~repro.search.engine.select_top_k` must keep the K smallest
+``(cost, enumeration index)`` rows, whatever their order — the rule that
+makes a search's top-K independent of how its rows were computed.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +27,12 @@ from repro.hardware.spec import h100_spec
 from repro.ir.builders import build_gated_ffn, build_standard_ffn
 from repro.ir.workloads import get_chain_spec
 from repro.search.cost_model import CostModel
-from repro.search.engine import SearchEngine, profile_top_k, score_cascade
+from repro.search.engine import (
+    SearchEngine,
+    profile_top_k,
+    score_cascade,
+    select_top_k,
+)
 from repro.search.pruning import Pruner
 from repro.search.space import FusionCandidate, SearchSpace
 from repro.sim.engine import PerformanceSimulator
@@ -44,15 +53,15 @@ def _standard(m=128, n=256, k=128, l=128, name="vector"):
     return build_standard_ffn(name, m=m, n=n, k=k, l=l)[1]
 
 
-def _assert_kernel_matches_oracle(device, chain, space, include_dsm=True, budget=None):
+def _assert_kernel_matches_oracle(device, chain, space, include_dsm=True):
     """Every analysed row of the kernel equals the scalar oracle's."""
     analyzer = DataflowAnalyzer(device, include_dsm=include_dsm)
     cost_model = CostModel(device)
     cascade = Pruner(device, include_dsm=include_dsm).cascade(
         chain, space.components(chain)
     )
-    scores = score_cascade(cascade, analyzer, cost_model, budget=budget)
-    survivors = cascade.survivors()[:budget]
+    scores = score_cascade(cascade, analyzer, cost_model)
+    survivors = cascade.survivors()
     assert len(scores) == len(survivors)
     oracle = DataflowAnalyzer(device, include_dsm=include_dsm)
     volumes = scores.analysis.volumes.reshape(len(scores), len(VOLUME_LEVELS))
@@ -108,7 +117,7 @@ def _oracle_search(engine, chain):
     cascade = Pruner(engine.device, include_dsm=engine.include_dsm).cascade(
         chain, engine.space.components(chain)
     )
-    survivors = cascade.survivors()[: engine.max_candidates]
+    survivors = cascade.survivors()
     analyzer = DataflowAnalyzer(engine.device, include_dsm=engine.include_dsm)
     plans = []
     for index, candidate in survivors:
@@ -162,13 +171,6 @@ class TestEngineMatchesOracle:
         engine = SearchEngine(device, top_k=3, include_dsm=False)
         _assert_engine_matches_oracle(engine, _standard(name="vector-no-dsm"))
 
-    def test_max_candidates_budget_matches_oracle(self, device):
-        engine = SearchEngine(
-            device, top_k=3, space=SearchSpace(device, max_tile=128), max_candidates=10
-        )
-        result = _assert_engine_matches_oracle(engine, _standard(name="vector-budget"))
-        assert result.candidates_analyzed == 10
-
     @settings(max_examples=12, deadline=None)
     @given(
         m=st.sampled_from([49, 64, 128, 196, 256]),
@@ -177,23 +179,21 @@ class TestEngineMatchesOracle:
         l=st.sampled_from([64, 128, 256]),
         gated=st.booleans(),
         include_dsm=st.booleans(),
-        budget=st.one_of(st.none(), st.integers(min_value=0, max_value=400)),
     )
-    def test_drawn_chain_matches_oracle(self, m, n, k, l, gated, include_dsm, budget):
+    def test_drawn_chain_matches_oracle(self, m, n, k, l, gated, include_dsm):
         device = h100_spec()
         if gated:
             chain = build_gated_ffn("vector-draw", m, n, k, l)[1]
         else:
             chain = _standard(m=m, n=n, k=k, l=l, name="vector-draw")
         space = SearchSpace(device, max_tile=128)
-        _assert_kernel_matches_oracle(device, chain, space, include_dsm, budget)
+        _assert_kernel_matches_oracle(device, chain, space, include_dsm)
         engine = SearchEngine(
             device,
             top_k=4,
             include_dsm=include_dsm,
             space=space,
             require_feasible=False,
-            max_candidates=budget,
         )
         _assert_engine_matches_oracle(engine, chain)
 
@@ -218,3 +218,34 @@ class TestRuleOneMask:
         ]
         assert mask.tolist() == expected
         assert not mask.all()
+
+
+class TestTieBreakDeterminism:
+    """The top-K step keeps the K smallest ``(cost, enumeration index)`` rows.
+
+    Ties in cost go to the earlier enumeration index, whatever the order of
+    the rows, and rows outside the mask (infeasible plans) never enter.
+    """
+
+    def test_all_ties_keep_earliest_candidates(self):
+        index = np.array([9, 4, 7, 0, 2, 5])
+        cost = np.full(len(index), 5.0)
+        kept = select_top_k(cost, index, keep=4)
+        assert index[kept].tolist() == [0, 2, 4, 5]
+
+    def test_eviction_drops_latest_of_tied_worst(self):
+        # Rows 0 and 1 tie at 5.0 and row 7 costs 3.0: with K=2 the kept
+        # rows are 7 then 0, the later of the tied-worst (1) is dropped.
+        index = np.arange(10)
+        cost = np.full(10, 5.0)
+        cost[7] = 3.0
+        kept = select_top_k(cost, index, keep=2)
+        assert kept.tolist() == [7, 0]
+        assert cost[kept].tolist() == [3.0, 5.0]
+
+    def test_masked_rows_never_enter(self):
+        index = np.arange(6)
+        cost = np.array([1.0, 2.0, 2.0, 0.5, 2.0, 3.0])
+        feasible = np.array([True, True, True, False, True, True])
+        assert select_top_k(cost, index, 3, feasible).tolist() == [0, 1, 2]
+        assert select_top_k(cost, index, 3, np.zeros(6, dtype=bool)).size == 0

@@ -5,7 +5,7 @@ admissible — it never exceeds the analysed cost — so the best-first
 skipping of :func:`~repro.search.engine.analyze_and_rank` (the rule the
 transfer search ranks its neighborhood with) preserves the entire top-K,
 not just the winner.  Second, an accepted transfer search is provably within
-``transfer_bound`` of the full enumeration's winner, and its provenance
+``TRANSFER_BOUND`` of the full enumeration's winner, and its provenance
 (``mode="transfer"``, ``compiled:transfer`` serving source, search-effort
 counters) surfaces through the API, stats and perf-report layers.
 """
@@ -25,6 +25,7 @@ from repro.runtime.stats import ServingStats
 from repro.search.cost_model import CostModel
 from repro.search.engine import SearchEngine, analyze_and_rank
 from repro.search.incremental import (
+    TRANSFER_BOUND,
     CandidateLowerBound,
     ShapeIndex,
     TransferSearch,
@@ -159,7 +160,7 @@ class TestTransferSearch:
         )
 
     def test_accepted_transfer_is_within_bound_of_full_winner(self, device):
-        engine = _engine(device, transfer_bound=2.0)
+        engine = _engine(device)
         small = engine.search(_chain(m=64))
         target = _chain(m=256)
         full = _engine(device).search(target)
@@ -169,16 +170,16 @@ class TestTransferSearch:
             bounds = CandidateLowerBound(device, engine.cost_model)
             chain_lb = bounds.chain_lower_bound(target)
             cost = transferred.best.predicted_cost_us
-            assert cost <= engine.transfer_bound * chain_lb
+            assert cost <= TRANSFER_BOUND * chain_lb
             # chain_lb also undercuts the full winner, so acceptance puts
             # the transferred plan within the bound of optimal.
-            assert cost <= engine.transfer_bound * full.best.predicted_cost_us
+            assert cost <= TRANSFER_BOUND * full.best.predicted_cost_us
             assert transferred.candidates_analyzed < full.candidates_analyzed
         else:
             _assert_same_search(transferred, full)
 
     def test_transfer_mode_is_reported(self, device):
-        engine = _engine(device, transfer_bound=2.0)
+        engine = _engine(device)
         small = engine.search(_chain(m=64))
         transferred = engine.search(
             _chain(m=256), transfer_seed=self._seed_from(small)
@@ -214,7 +215,7 @@ class TestTransferSearch:
     )
     def test_transfer_cost_bound_property(self, m_seed, m_target):
         device = h100_spec()
-        engine = _engine(device, transfer_bound=2.0)
+        engine = _engine(device)
         small = engine.search(_chain(m=m_seed, name=f"tp-{m_seed}"))
         target = _chain(m=m_target, name=f"tp-{m_seed}")
         transferred = engine.search(
@@ -225,7 +226,7 @@ class TestTransferSearch:
             bounds = CandidateLowerBound(device, engine.cost_model)
             assert (
                 transferred.best.predicted_cost_us
-                <= engine.transfer_bound * bounds.chain_lower_bound(target)
+                <= TRANSFER_BOUND * bounds.chain_lower_bound(target)
             )
 
     @settings(max_examples=6, deadline=None)
