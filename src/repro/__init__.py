@@ -40,7 +40,6 @@ from repro.hardware import (
 from repro.ir import GemmChainSpec, OperatorGraph, get_workload, list_workloads
 from repro.search import SearchEngine
 from repro.runtime import (
-    BatchCompiler,
     KernelServer,
     PlanCache,
     ServingStats,
@@ -95,7 +94,6 @@ __all__ = [
     "compile_graph",
     "extract_chains",
     "SearchEngine",
-    "BatchCompiler",
     "KernelServer",
     "PlanCache",
     "ServingStats",

@@ -13,7 +13,9 @@ entry points wrap the same pipeline: a :class:`CompileRequest` names a chain
 *or* a workload id (plus optional per-request config overrides) and
 :meth:`FlashFuser.compile_request` / :meth:`FlashFuser.submit` answer with a
 :class:`CompileResponse` carrying the kernel and its provenance (effective
-config, cache hit/miss, cache key, wall clock).
+config, the cache tier that served it, cache key, wall clock);
+:meth:`FlashFuser.compile_chains` fans a list of chains out over the same
+pipeline, one search per distinct shape.
 
 A :class:`KernelTable` implements the runtime strategy of Section IV-C3:
 kernels are compiled offline for a set of M bins (N, K and L are fixed by
@@ -42,12 +44,7 @@ from repro.ir.workloads import get_workload
 from repro.obs.trace import tracer
 from repro.search.cost_model import CostModel
 from repro.search.engine import SearchEngine, SearchResult, SearchSummary
-from repro.search.incremental import (
-    ShapeIndex,
-    TransferSeed,
-    seed_from_plan_dict,
-    shape_family_key,
-)
+from repro.search.incremental import ShapeIndex, TransferSeed, shape_family_key
 from repro.sim.engine import PerformanceSimulator, SimulationReport
 from repro.sim.profiler import MemoryProfiler, TrafficReport
 
@@ -173,7 +170,8 @@ class CompileResponse:
     Returned by :meth:`FlashFuser.compile_request` and resolved from the
     futures of :meth:`FlashFuser.submit`: the kernel itself, the request it
     answers, the effective configuration after per-request overrides, and
-    the cache provenance (hit/miss, the key consulted, wall-clock time).
+    the cache provenance (the tier that served it, the key consulted,
+    wall-clock time).
 
     Example
     -------
@@ -191,12 +189,18 @@ class CompileResponse:
     request: CompileRequest
     #: The effective configuration (request overrides applied).
     config: FuserConfig
-    #: Whether the kernel was served by the plan cache instead of a search.
-    cache_hit: bool
+    #: The plan-cache tier that served the kernel (``"memory"`` or
+    #: ``"disk"``), or ``None`` when a search produced it.
+    cache_tier: Optional[str]
     #: The plan-cache key consulted, or ``None`` when no cache is attached.
     cache_key: Optional[str]
     #: Wall-clock seconds spent resolving this request.
     elapsed_s: float
+
+    @property
+    def cache_hit(self) -> bool:
+        """Whether the kernel was served by the plan cache instead of a search."""
+        return self.cache_tier is not None
 
     def provenance(self) -> Dict[str, object]:
         """Plain-dictionary provenance view for logs and metrics."""
@@ -267,8 +271,8 @@ class FlashFuser:
         self._toolchains: Dict[str, Tuple[PerformanceSimulator, CostModel]] = {
             _DEFAULT_DEVICE_KEY: (self.simulator, self.cost_model)
         }
-        #: In-process nearest-shape index of serialized plans, seeding
-        #: warm-start transfer searches even when no plan cache is attached.
+        #: Nearest-shape index of compiled plans' transfer seeds, warm-starting
+        #: transfer searches (with or without a plan cache attached).
         self._shapes = ShapeIndex()
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = make_lock("flashfuser-pool")
@@ -314,8 +318,9 @@ class FlashFuser:
 
         The request's overrides are applied to this compiler's config for
         the duration of the request only.  With a cache attached (and not
-        overridden away) the cache is consulted first and back-filled on a
-        miss, exactly like :meth:`compile`.
+        overridden away) the cache is probed once — its memory tier, then
+        its disk store — and back-filled on a miss, exactly like
+        :meth:`compile`; the response records which tier served the kernel.
         """
         start = time.perf_counter()
         config = self.config.replace(**request.overrides)
@@ -324,14 +329,14 @@ class FlashFuser:
         cache = self._cache_for(config)
         key: Optional[str] = None
         kernel: Optional[CompiledKernel] = None
+        tier: Optional[str] = None
         with tracer().span("compile.request", chain=chain.name) as span:
             if cache is not None:
                 key = cache.key_for(chain, device, config.cache_key_fields())
-                kernel = cache.load_kernel(key, chain=chain)
-            cache_hit = kernel is not None
-            span.set("cache_hit", cache_hit)
+                kernel, tier = cache.lookup(key, chain=chain)
+            span.set("cache_hit", kernel is not None)
             if kernel is None:
-                seed = self._transfer_seed(chain, config, device, cache)
+                seed = self._transfer_seed(chain, config, device)
                 kernel = self._compile_uncached(
                     chain, config, device, transfer_seed=seed
                 )
@@ -342,12 +347,12 @@ class FlashFuser:
                         device=device,
                         search_config=config.cache_key_fields(),
                     )
-            self._register_shape(chain, config, device, cache, key, kernel)
+            self._register_shape(chain, config, device, kernel)
         return CompileResponse(
             kernel=kernel,
             request=request,
             config=config,
-            cache_hit=cache_hit,
+            cache_tier=tier,
             cache_key=key,
             elapsed_s=time.perf_counter() - start,
         )
@@ -373,6 +378,51 @@ class FlashFuser:
                 return self.compile_request(request)
 
         return pool.submit(run)
+
+    def compile_chains(
+        self, chains: Sequence[GemmChainSpec]
+    ) -> List[Union[CompileResponse, FusionError]]:
+        """Compile many chains concurrently, one search per distinct shape.
+
+        The chains are deduplicated by
+        :meth:`~repro.ir.graph.GemmChainSpec.canonical_hash` (under one
+        compiler the device and knobs are fixed, so equal hashes mean equal
+        plan-cache keys).  Every distinct shape resolves through
+        :meth:`compile_request`: all but the last on the :meth:`submit`
+        pool, the last in the calling thread meanwhile, so a single shape
+        pays no thread handoff.  Returns one entry per input chain, in
+        order: its :class:`CompileResponse` (a duplicate shares the first
+        equally shaped chain's response and kernel), or the
+        :class:`FusionError` of a chain admitting no fused plan, kept as a
+        value so every other chain still compiles.
+
+        Example
+        -------
+        ::
+
+            from repro import FlashFuser
+            from repro.ir.workloads import get_chain_spec
+
+            with FlashFuser(top_k=5, max_tile=128) as compiler:
+                outcomes = compiler.compile_chains(
+                    [get_chain_spec("G4"), get_chain_spec("G5"), get_chain_spec("G4")]
+                )
+            print([outcome.cache_hit for outcome in outcomes])
+        """
+        shapes = [chain.canonical_hash() for chain in chains]
+        first: Dict[str, GemmChainSpec] = {}
+        for shape, chain in zip(shapes, chains):
+            first.setdefault(shape, chain)
+        requests = [
+            (shape, CompileRequest(chain=chain)) for shape, chain in first.items()
+        ]
+        futures = [(shape, self.submit(request)) for shape, request in requests[:-1]]
+        settled = {
+            shape: _settle(self.compile_request, request)
+            for shape, request in requests[-1:]
+        }
+        settled.update((shape, _settle(future.result)) for shape, future in futures)
+        return [settled[shape] for shape in shapes]
 
     # ------------------------------------------------------------------ #
     # Classic entry points
@@ -401,14 +451,19 @@ class FlashFuser:
     ) -> "KernelTable":
         """Compile one kernel per M bin for runtime selection.
 
-        Bins are compiled serially here (each one still benefits from the
-        plan cache when attached); use
-        :class:`repro.runtime.batch.BatchCompiler` to fan the bins across a
-        worker pool.
+        The bins compile concurrently through :meth:`compile_chains` (a
+        repeated bin compiles once; an attached plan cache serves bins
+        compiled before).  Raises the :class:`FusionError` of the first bin,
+        in ``m_bins`` order, that admits no fused plan.
         """
+        outcomes = self.compile_chains(
+            [chain.scaled(m=m, name=f"{chain.name}_m{m}") for m in m_bins]
+        )
         kernels: Dict[int, CompiledKernel] = {}
-        for m in m_bins:
-            kernels[m] = self.compile(chain.scaled(m=m, name=f"{chain.name}_m{m}"))
+        for m, outcome in zip(m_bins, outcomes):
+            if isinstance(outcome, FusionError):
+                raise outcome
+            kernels[m] = outcome.kernel
         return KernelTable(chain=chain, kernels=kernels)
 
     def close(self) -> None:
@@ -444,49 +499,35 @@ class FlashFuser:
         chain: GemmChainSpec,
         config: FuserConfig,
         device: HardwareSpec,
-        cache,
     ) -> Optional[TransferSeed]:
         """The nearest-shape plan skeleton to warm-start this compile from.
 
-        Consults the in-process shape index first (it exists even without a
-        plan cache), then the cache's cross-process index.  Returns ``None``
-        when transfer is disabled or no same-family shape was compiled yet —
-        the search then runs the full enumeration.
+        Returns ``None`` when transfer is disabled or no same-family shape
+        was compiled by this compiler yet — the search then runs the full
+        enumeration.
         """
         if not config.transfer:
             return None
         family = shape_family_key(chain, device, config.cache_key_fields())
-        payload = self._shapes.nearest(
-            family, (chain.m, chain.n, chain.k, chain.l)
-        )
-        if payload is not None:
-            return seed_from_plan_dict(payload)
-        if cache is not None:
-            return cache.nearest_seed(
-                chain, device, config.cache_key_fields()
-            )
-        return None
+        return self._shapes.nearest(family, (chain.m, chain.n, chain.k, chain.l))
 
     def _register_shape(
         self,
         chain: GemmChainSpec,
         config: FuserConfig,
         device: HardwareSpec,
-        cache,
-        key: Optional[str],
         kernel: CompiledKernel,
     ) -> None:
         """Index this compile's shape so nearby shapes can seed from it."""
         if not config.transfer:
             return
         family = shape_family_key(chain, device, config.cache_key_fields())
+        plan = kernel.plan
         self._shapes.register(
-            family, (chain.m, chain.n, chain.k, chain.l), kernel.plan.to_dict()
+            family,
+            (chain.m, chain.n, chain.k, chain.l),
+            TransferSeed(schedule=plan.schedule, tile=plan.tile, geometry=plan.geometry),
         )
-        if cache is not None and key is not None:
-            cache.register_shape(
-                chain, device, config.cache_key_fields(), key
-            )
 
     def _compile_uncached(
         self,
@@ -517,7 +558,7 @@ class FlashFuser:
             simulated_time_us=report.time_us,
         )
         kernel_ir = lower_plan(plan)
-        source = emit_cuda(plan)
+        source = emit_cuda(plan, kernel_ir)
         traffic = self.profiler.profile_fused(best.result)
         return CompiledKernel(
             plan=plan,
@@ -600,7 +641,7 @@ class KernelTable:
 
     N, K and L are fixed by the model, so only the token/batch dimension M
     varies at runtime: kernels are compiled offline for a set of M bins
-    (:meth:`FlashFuser.compile_table` or the batch compiler) and selected
+    (:meth:`FlashFuser.compile_table`) and selected
     per request with :meth:`lookup` — the smallest bin covering the runtime
     M, falling back to the largest bin (run over multiple waves) above it.
 
@@ -640,6 +681,15 @@ class KernelTable:
     def lookup(self, m: int) -> CompiledKernel:
         """Select the kernel for a runtime M via :meth:`bin_for`."""
         return self.kernels[self.bin_for(m)]
+
+
+def _settle(resolve, *args):
+    """``resolve(*args)`` (a :class:`CompileResponse`), or its
+    :class:`FusionError`."""
+    try:
+        return resolve(*args)
+    except FusionError as exc:
+        return exc
 
 
 def compile_chain(

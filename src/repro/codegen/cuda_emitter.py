@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.codegen.kernel_ir import KernelIR, KernelSection, lower_plan
+from repro.codegen.kernel_ir import KernelIR, KernelSection
 from repro.codegen.plan import ExecutionPlan
 
 
@@ -23,9 +23,9 @@ def _section_lines(ir: KernelIR, section: KernelSection) -> List[str]:
     return lines
 
 
-def emit_cuda(plan: ExecutionPlan) -> str:
-    """Render an execution plan as CUDA-like pseudo source."""
-    ir = lower_plan(plan)
+def emit_cuda(plan: ExecutionPlan, ir: KernelIR) -> str:
+    """Render an execution plan's kernel IR (``lower_plan(plan)``) as
+    CUDA-like pseudo source."""
     geometry = plan.geometry
     chain = plan.chain
 

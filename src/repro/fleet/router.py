@@ -45,7 +45,7 @@ from repro.graphs.server import ModelServer
 from repro.ir.graph import GemmChainSpec
 from repro.obs.logging import get_logger, log_event
 from repro.obs.trace import tracer
-from repro.runtime.server import KernelServer
+from repro.runtime.server import KernelServer, serving_source
 
 _logger = get_logger(__name__)
 
@@ -172,12 +172,26 @@ class _PoolKernelServer(KernelServer):
         super().__init__(**kwargs)
         self._fleet = fleet
 
-    def _compile(
+    def _resolve_miss(
         self, chain: GemmChainSpec, overrides: Dict[str, object]
     ) -> Tuple[CompiledKernel, str]:
+        """Probe the plan cache once locally; compile on the pool on a miss."""
+        # Resolve the cache and key exactly as compile_request would, so
+        # overrides redirecting the device or the cache are honoured.
+        config = self.compiler.config.replace(**overrides)
+        cache = self.compiler._cache_for(config)
+        key = None
+        if cache is not None:
+            key = cache.key_for(
+                chain, self.compiler._device_for(config), config.cache_key_fields()
+            )
+            with tracer().span("server.cache", chain=chain.name) as span:
+                kernel, tier = cache.lookup(key, chain=chain)
+                span.set("hit", kernel is not None)
+            if kernel is not None:
+                return kernel, serving_source(tier, kernel)
         source = self._fleet._run_compile(chain, overrides)
-        cache, key = self._cache_slot(chain, overrides)
-        kernel = cache.load_kernel(key, chain=chain) if cache is not None else None
+        kernel = cache.lookup(key, chain=chain)[0] if cache is not None else None
         if kernel is None:
             raise _PoolError(
                 f"the plan compiled for {chain.name} is not in the shared cache"

@@ -44,7 +44,7 @@ from repro.ir.graph import GemmChainSpec
 from repro.obs import trace as obs_trace
 from repro.obs.logging import get_logger, log_event
 from repro.obs.trace import set_process_tag, tracer
-from repro.runtime.server import SOURCE_CACHE_DISK, SOURCE_COMPILED, SOURCE_TRANSFER
+from repro.runtime.server import serving_source
 
 _logger = get_logger(__name__)
 
@@ -112,13 +112,9 @@ class FleetWorker:
             payload["error"] = f"{type(exc).__name__}: {exc}"
         else:
             self.compiles += 1
-            if response.cache_hit:
-                # Another process stored this plan since the front end looked.
-                payload["source"] = SOURCE_CACHE_DISK
-            elif getattr(response.kernel.search, "mode", "exact") == "transfer":
-                payload["source"] = SOURCE_TRANSFER
-            else:
-                payload["source"] = SOURCE_COMPILED
+            # A cache hit means another process stored this plan since the
+            # front end looked.
+            payload["source"] = serving_source(response.cache_tier, response.kernel)
         payload["compile_us"] = (time.perf_counter() - start) * 1e6
         return payload
 

@@ -4,8 +4,9 @@
 fusible chains of an :class:`~repro.ir.graph.OperatorGraph`
 (:func:`~repro.graphs.extract.extract_chains`), compiles every chain
 concurrently through the existing :class:`~repro.api.FlashFuser` stack —
-``submit()`` futures share the compiler's worker pool, and an attached plan
-cache serves repeat shapes without re-running the search — charges the
+:meth:`~repro.api.FlashFuser.compile_chains` runs one search per distinct
+shape on the compiler's worker pool, and an attached plan cache serves
+shapes compiled before without re-running the search — charges the
 residual (unfused) operators on the performance simulator at library kernel
 quality, and assembles a topologically ordered :class:`ModelPlan` whose
 segments carry full provenance: fused vs unfused, resolution source, cache
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Tuple
 
-from repro.api import CompiledKernel, CompileRequest, FlashFuser
+from repro.api import CompiledKernel, FlashFuser
 from repro.baselines.base import unfused_launches
 from repro.config import FuserConfig
 from repro.errors import FusionError
@@ -304,11 +305,10 @@ def compile_graph(
         (:meth:`~repro.sim.engine.PerformanceSimulator.library_grade`), since
         residual operators run as framework kernels.
 
-    Extracted chains resolve through :meth:`FlashFuser.compile_request` —
-    one request per canonical shape, all but the last through
-    :meth:`FlashFuser.submit`, so multi-chain graphs compile distinct chains
-    concurrently and identically shaped chains only once — each request
-    consulting the compiler's plan cache with exactly the key that
+    Extracted chains resolve through :meth:`FlashFuser.compile_chains`,
+    so multi-chain graphs compile distinct chains concurrently and
+    identically shaped chains (e.g. every layer's FFN) only once, each
+    request consulting the compiler's plan cache with exactly the key that
     compiling the same :class:`~repro.ir.graph.GemmChainSpec` directly
     would use.
 
@@ -332,30 +332,18 @@ def compile_graph(
     try:
         extraction = extract_chains(graph, validate=validate, rewrite=True)
         simulator = simulator or PerformanceSimulator.library_grade(compiler.device)
-        # One request per canonical shape: a model with N identically shaped
-        # chains (e.g. every layer's FFN) runs one fusion search, not N —
-        # the same dedup the BatchCompiler applies to its jobs.
-        chains: Dict[str, GemmChainSpec] = {}
-        for match in extraction.matches:
-            chains.setdefault(match.chain.canonical_hash(), match.chain)
-        requests = [
-            (shape, CompileRequest(chain=chain)) for shape, chain in chains.items()
-        ]
-        # The pool takes all shapes but the last, which resolves in this
-        # thread meanwhile, so a single-chain graph (a transformer layer)
-        # pays no thread handoff.  Every request settles before assembly so
-        # all chains compile to completion even when one of them fails.
-        futures = [
-            (shape, compiler.submit(request)) for shape, request in requests[:-1]
-        ]
+        # Every chain settles before assembly, so all of them compile to
+        # completion even when one fails.
+        outcomes = compiler.compile_chains(
+            [match.chain for match in extraction.matches]
+        )
         settled = {
-            shape: _settle(compiler.compile_request, request)
-            for shape, request in requests[-1:]
+            id(match): outcome
+            for match, outcome in zip(extraction.matches, outcomes)
         }
-        settled.update((shape, _settle(future.result)) for shape, future in futures)
 
         def resolve(match: ChainMatch) -> Tuple[CompiledKernel, str, bool, float]:
-            outcome = settled[match.chain.canonical_hash()]
+            outcome = settled[id(match)]
             if isinstance(outcome, FusionError):
                 raise outcome
             source = SOURCE_CACHE if outcome.cache_hit else SOURCE_SEARCH
@@ -365,15 +353,6 @@ def compile_graph(
     finally:
         if owns_compiler:
             compiler.close()
-
-
-def _settle(resolve, *args):
-    """``resolve(*args)`` (a :class:`~repro.api.CompileResponse`), or its
-    :class:`FusionError`."""
-    try:
-        return resolve(*args)
-    except FusionError as exc:
-        return exc
 
 
 def _launch_for(op: Operator) -> KernelLaunch:

@@ -6,15 +6,13 @@ traffic without re-paying the fusion search?".  It provides:
 
 * :mod:`repro.runtime.cache` — a two-tier (in-process LRU + disk JSON)
   persistent plan cache keyed by canonical chain/device/search identity;
-* :mod:`repro.runtime.batch` — a parallel batch compiler with cache
-  deduplication for kernel-table and multi-workload compile jobs;
 * :mod:`repro.runtime.server` — the :class:`KernelServer` frontend that
   resolves dynamic-shape requests through table → cache → compile;
-* :mod:`repro.runtime.warmup` — suite precompilation ahead of traffic;
+* :mod:`repro.runtime.warmup` — suite precompilation ahead of traffic,
+  fanned out through :meth:`~repro.api.FlashFuser.compile_chains`;
 * :mod:`repro.runtime.stats` — request/latency metrics over registry samples.
 """
 
-from repro.runtime.batch import BatchCompiler, BatchItem, BatchReport
 from repro.runtime.cache import (
     CacheStats,
     PlanCache,
@@ -34,9 +32,6 @@ from repro.runtime.warmup import (
 )
 
 __all__ = [
-    "BatchCompiler",
-    "BatchItem",
-    "BatchReport",
     "CacheStats",
     "PlanCache",
     "PlanCacheEntry",

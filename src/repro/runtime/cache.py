@@ -37,7 +37,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.analysis.locks import make_lock, require_held
 from repro.analysis.verify import PlanVerifier
@@ -52,12 +52,6 @@ from repro.obs.logging import get_logger, log_event
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.trace import tracer
 from repro.search.engine import SearchSummary
-from repro.search.incremental import (
-    ShapeIndex,
-    TransferSeed,
-    seed_from_plan_dict,
-    shape_family_key,
-)
 from repro.sim.engine import SimulationReport
 from repro.sim.profiler import TrafficReport
 
@@ -67,7 +61,7 @@ _logger = get_logger(__name__)
 #: entries are treated as misses instead of raising.
 CACHE_FORMAT_VERSION = 1
 
-#: Resolution tiers reported by :meth:`PlanCache.tier_of`.
+#: Resolution tiers reported by :meth:`PlanCache.lookup`.
 TIER_MEMORY = "memory"
 TIER_DISK = "disk"
 
@@ -142,10 +136,11 @@ class PlanCacheEntry:
         workload B.  The kernel IR and source are regenerated from the plan.
         """
         plan = ExecutionPlan.from_dict(self.plan, chain=chain)
+        kernel_ir = lower_plan(plan)
         return CompiledKernel(
             plan=plan,
-            kernel_ir=lower_plan(plan),
-            source=emit_cuda(plan),
+            kernel_ir=kernel_ir,
+            source=emit_cuda(plan, kernel_ir),
             report=SimulationReport.from_dict(self.report),
             search=SearchSummary.from_dict(self.search, from_cache=True),
             traffic=TrafficReport(
@@ -354,8 +349,8 @@ class PlanCache:
         serving fleet's front end reads its workers' plans through the
         same path, so it verifies every plan before serving it.
 
-    All operations are thread-safe; the
-    :class:`~repro.runtime.batch.BatchCompiler` relies on this to fan
+    All operations are thread-safe;
+    :meth:`~repro.api.FlashFuser.compile_chains` relies on this to fan
     compile jobs across a worker pool with a shared cache.
 
     Example
@@ -393,9 +388,6 @@ class PlanCache:
         # Rehydrated kernels memoized per (key, served chain name) so hot
         # requests skip re-lowering; bounded by the same LRU capacity.
         self._kernels: "OrderedDict[tuple, CompiledKernel]" = OrderedDict()
-        # Nearest-shape registry: family -> (m, n, k, l) -> entry key, used
-        # to seed warm-start transfer searches (see repro.search.incremental).
-        self._shapes = ShapeIndex()
 
     # ------------------------------------------------------------------ #
     # Keys
@@ -462,78 +454,24 @@ class PlanCache:
                 except OSError:
                     self.stats.inc("io_errors")
 
-    def tier_of(self, key: str) -> Optional[str]:
-        """Which tier currently holds ``key`` (without counting a lookup)."""
+    def contains(self, key: str) -> bool:
+        """Whether either tier holds ``key`` (without counting a lookup)."""
         with self._lock:
             if key in self._entries:
-                return TIER_MEMORY
-            if self.directory is not None and self._disk_path(key).exists():
-                return TIER_DISK
-            return None
-
-    def contains(self, key: str) -> bool:
-        """Whether either tier holds ``key``."""
-        return self.tier_of(key) is not None
-
-    # ------------------------------------------------------------------ #
-    # Nearest-shape transfer seeds
-    # ------------------------------------------------------------------ #
-    def register_shape(
-        self,
-        chain: GemmChainSpec,
-        device: HardwareSpec,
-        search_config: Optional[Dict[str, object]],
-        key: str,
-    ) -> None:
-        """Index ``key`` as the plan compiled for ``chain``'s shape.
-
-        Shapes are grouped into families (same chain kind/activation/dtype,
-        device and search config — everything but M/N/K/L); within a family
-        :meth:`nearest_seed` ranks entries by log-scale dimension distance.
-        """
-        family = shape_family_key(chain, device, search_config or {})
-        self._shapes.register(
-            family, (chain.m, chain.n, chain.k, chain.l), key
-        )
-
-    def nearest_seed(
-        self,
-        chain: GemmChainSpec,
-        device: HardwareSpec,
-        search_config: Optional[Dict[str, object]] = None,
-    ) -> Optional[TransferSeed]:
-        """The plan skeleton of the nearest previously compiled shape.
-
-        A peek, not a lookup: neither tier's hit/miss counters move, so
-        transfer seeding never distorts the cache statistics the serving
-        layer reports.  Returns ``None`` when no same-family shape has been
-        registered or its entry has been evicted from both tiers.
-        """
-        family = shape_family_key(chain, device, search_config or {})
-        key = self._shapes.nearest(family, (chain.m, chain.n, chain.k, chain.l))
-        if key is None:
-            return None
-        entry = self._peek(str(key))
-        if entry is None:
-            return None
-        return seed_from_plan_dict(entry.plan)
-
-    def _peek(self, key: str) -> Optional[PlanCacheEntry]:
-        """Entry for ``key`` without touching stats or LRU order."""
-        with self._lock:
-            entry = self._entries.get(key)
-        if entry is not None:
-            return entry
-        return self._read_disk(key)
+                return True
+        return self.directory is not None and self._disk_path(key).exists()
 
     # ------------------------------------------------------------------ #
     # Kernel-level interface (what FlashFuser calls)
     # ------------------------------------------------------------------ #
-    def load_kernel(
+    def lookup(
         self, key: str, chain: Optional[GemmChainSpec] = None
-    ) -> Optional[CompiledKernel]:
-        """Return the cached kernel for ``key``, rehydrating as needed.
+    ) -> Tuple[Optional[CompiledKernel], Optional[str]]:
+        """The cached kernel for ``key`` and the tier that held it.
 
+        One probe: the memory tier, then the disk store (a disk hit is
+        promoted into memory).  Returns ``(kernel, TIER_MEMORY)``,
+        ``(kernel, TIER_DISK)`` or ``(None, None)`` on a miss.
         Rehydration (plan deserialization, IR lowering, source emission)
         runs outside the lock so parallel workers sharing this cache do not
         serialize on it; racing threads may rehydrate the same entry twice,
@@ -545,10 +483,11 @@ class PlanCache:
             if kernel is not None:
                 self._kernels.move_to_end(memo_key)
                 self.stats.inc("memory_hits")
-                return kernel
+                return kernel, TIER_MEMORY
+            tier = TIER_MEMORY if key in self._entries else TIER_DISK
         entry = self.get(key)
         if entry is None:
-            return None
+            return None, None
         with tracer().span(
             "cache.rehydrate", chain=chain.name if chain is not None else None
         ):
@@ -556,11 +495,11 @@ class PlanCache:
         with self._lock:
             existing = self._kernels.get(memo_key)
             if existing is not None:
-                return existing
+                return existing, tier
             self._kernels[memo_key] = kernel
             while len(self._kernels) > self.max_memory_entries:
                 self._kernels.popitem(last=False)
-        return kernel
+        return kernel, tier
 
     def store_kernel(
         self,

@@ -12,6 +12,10 @@ through a chain of progressively more expensive sources:
 3. an **on-demand compile** fallback that runs the full fusion search and
    back-fills both the cache and the table.
 
+Sources 2 and 3 are one :meth:`~repro.api.FlashFuser.compile_request`: it
+probes the cache once and searches on a miss, and :func:`serving_source`
+names the source it reports.
+
 Every request records its resolution source and latency into a
 :class:`~repro.runtime.stats.ServingStats` sink, so hit rates and tail
 behaviour are observable.  :meth:`KernelServer.warmup` precompiles the
@@ -34,8 +38,7 @@ from repro.config import FuserConfig
 from repro.ir.graph import GemmChainSpec
 from repro.ir.workloads import get_chain_spec
 from repro.obs.trace import tracer
-from repro.runtime.batch import BatchCompiler
-from repro.runtime.cache import TIER_MEMORY, PlanCache
+from repro.runtime.cache import TIER_MEMORY
 from repro.runtime.stats import ServingStats
 from repro.runtime.warmup import WarmupReport, warmup_workloads
 
@@ -70,6 +73,21 @@ class ServeResponse:
     #: analyze / rank / profile, or transfer) when this request ran a
     #: fusion search; ``None`` for table/cache hits.
     phase_times_us: Optional[Dict[str, float]] = None
+
+
+def serving_source(tier: Optional[str], kernel: CompiledKernel) -> str:
+    """The serving source of a kernel resolved past the kernel table.
+
+    ``tier`` is the plan-cache tier that held it (``None`` when a search
+    produced it, as in :attr:`~repro.api.CompileResponse.cache_tier`); a
+    searched kernel is ``compiled`` or, when a warm-started transfer search
+    found it, ``compiled:transfer``.
+    """
+    if tier is not None:
+        return SOURCE_CACHE_MEMORY if tier == TIER_MEMORY else SOURCE_CACHE_DISK
+    if getattr(kernel.search, "mode", "exact") == "transfer":
+        return SOURCE_TRANSFER
+    return SOURCE_COMPILED
 
 
 def _search_counters(
@@ -164,7 +182,6 @@ class KernelServer:
             raise ValueError("m_bins must be positive")
         self.m_bins = bins
         self.stats = stats or ServingStats()
-        self.batch = BatchCompiler(compiler)
         self._tables: Dict[str, KernelTable] = {}
         self._chains: Dict[str, GemmChainSpec] = {}
         self._lock = make_lock("kernel-server", reentrant=True)
@@ -267,7 +284,7 @@ class KernelServer:
     ) -> WarmupReport:
         """Precompile workloads into the cache and this server's tables."""
         report = warmup_workloads(
-            self.batch,
+            self.compiler,
             workload_ids=workload_ids,
             m_bins=m_bins if m_bins is not None else self.m_bins,
         )
@@ -363,57 +380,17 @@ class KernelServer:
     def _resolve_miss(
         self, chain: GemmChainSpec, overrides: Dict[str, object]
     ) -> Tuple[CompiledKernel, str]:
-        """Resolve a table miss through the cache, then :meth:`_compile`.
+        """Resolve a chain no kernel table holds: the miss hook.
 
-        The cache is consulted directly (rather than inferring the source
-        afterwards) so the recorded source is what actually happened — an
+        One :meth:`~repro.api.FlashFuser.compile_request` probes the plan
+        cache once and runs the fusion search in this process on a miss;
+        the answer is the kernel and its :func:`serving_source`, so an
         unreadable disk entry, for example, is reported as a compile.
-        """
-        cache, key = self._cache_slot(chain, overrides)
-        if cache is not None:
-            with tracer().span("server.cache", chain=chain.name) as span:
-                tier = cache.tier_of(key)
-                kernel = cache.load_kernel(key, chain=chain)
-                span.set("hit", kernel is not None)
-            if kernel is not None:
-                source = (
-                    SOURCE_CACHE_MEMORY if tier == TIER_MEMORY else SOURCE_CACHE_DISK
-                )
-                return kernel, source
-        with tracer().span("server.compile", chain=chain.name):
-            return self._compile(chain, overrides)
-
-    def _compile(
-        self, chain: GemmChainSpec, overrides: Dict[str, object]
-    ) -> Tuple[CompiledKernel, str]:
-        """Compile a chain no table or cache tier holds: the miss hook.
-
-        Runs the fusion search in this process and answers with the kernel
-        and its source (``compiled`` or ``compiled:transfer``).  Subclasses
-        override this one method to compile elsewhere; the caller holds the
-        per-(key, bin) single-flight lock, so it runs once per miss.
+        Subclasses override this one method to compile elsewhere; the
+        caller holds the per-(key, bin) single-flight lock, so it runs once
+        per miss.
         """
         response = self.compiler.compile_request(
             CompileRequest(chain=chain, overrides=overrides)
         )
-        if getattr(response.kernel.search, "mode", "exact") == "transfer":
-            return response.kernel, SOURCE_TRANSFER
-        return response.kernel, SOURCE_COMPILED
-
-    def _cache_slot(
-        self, chain: GemmChainSpec, overrides: Dict[str, object]
-    ) -> Tuple[Optional[PlanCache], Optional[str]]:
-        """The plan cache and key a compile of ``chain`` stores under.
-
-        Resolves the cache and device exactly as ``compile_request`` will,
-        so the key is right even when the overrides redirect the device or
-        the cache; ``(None, None)`` when no cache applies.
-        """
-        config = self.compiler.config.replace(**overrides)
-        cache = self.compiler._cache_for(config)
-        if cache is None:
-            return None, None
-        key = cache.key_for(
-            chain, self.compiler._device_for(config), config.cache_key_fields()
-        )
-        return cache, key
+        return response.kernel, serving_source(response.cache_tier, response.kernel)

@@ -2,8 +2,10 @@
 
 Serving latency is dominated by cold fusion searches, so a deployment warms
 the cache before accepting requests: every (workload, M-bin) pair of the
-anticipated traffic is compiled once — in parallel, deduplicated against the
-plan cache — and assembled into per-workload kernel tables.  A warmed
+anticipated traffic is compiled once — in parallel through
+:meth:`~repro.api.FlashFuser.compile_chains`, one search per distinct shape,
+deduplicated against the plan cache — and assembled into per-workload
+kernel tables.  A warmed
 :class:`~repro.runtime.server.KernelServer` then serves the paper's suites
 entirely from table lookups.
 """
@@ -12,11 +14,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.api import FlashFuser, KernelTable
+from repro.api import FlashFuser, FusionError, KernelTable
 from repro.ir.workloads import get_chain_spec, list_workloads
-from repro.runtime.batch import STATUS_CACHED, STATUS_COMPILED, BatchCompiler
 
 #: The suites warmed by default: the paper's GEMM chains (Table VII) and
 #: gated FFN chains (Table VI).  Conv chains are opt-in — their im2col
@@ -68,25 +69,26 @@ def default_warmup_workloads() -> List[str]:
 
 
 def warmup_workloads(
-    compiler: Union[FlashFuser, BatchCompiler],
+    compiler: FlashFuser,
     workload_ids: Optional[Sequence[str]] = None,
     m_bins: Sequence[int] = DEFAULT_WARMUP_M_BINS,
 ) -> WarmupReport:
-    """Precompile every (workload, M-bin) pair through the batch compiler.
+    """Precompile every (workload, M-bin) pair through one compile fan-out.
 
     Parameters
     ----------
     compiler:
-        A :class:`FlashFuser` (wrapped in a :class:`BatchCompiler`) or an
-        existing :class:`BatchCompiler`.  Jobs run under the compiler's
-        configuration on its pool, and the compiler stays open.
+        The :class:`FlashFuser` whose
+        :meth:`~repro.api.FlashFuser.compile_chains` runs the jobs, under
+        its configuration on its pool; the compiler stays open.
     workload_ids:
         Workloads to warm; defaults to the paper's GEMM and gated-FFN suites.
     m_bins:
         M bins compiled per workload.
 
     Returns a :class:`WarmupReport`: per-workload kernel tables plus
-    compiled/cached/failed counts and the elapsed wall clock.
+    compiled/cached/failed counts and the elapsed wall clock.  A job whose
+    shape repeats an earlier job's counts as cached: no search ran for it.
 
     Example
     -------
@@ -100,7 +102,6 @@ def warmup_workloads(
         print(report.succeeded, report.snapshot())
     """
     start = time.perf_counter()
-    batch = compiler if isinstance(compiler, BatchCompiler) else BatchCompiler(compiler)
     ids = list(workload_ids) if workload_ids is not None else default_warmup_workloads()
     bins = sorted(set(m_bins))
     if not bins:
@@ -110,19 +111,21 @@ def warmup_workloads(
 
     jobs: List[Tuple[str, int]] = [(wid, m) for wid in ids for m in bins]
     chains = [get_chain_spec(wid).scaled(m=m, name=f"{wid}_m{m}") for wid, m in jobs]
-    batch_report = batch.compile_chains(chains)
+    outcomes = compiler.compile_chains(chains)
 
     report = WarmupReport(jobs=len(jobs))
-    for (wid, m), item in zip(jobs, batch_report.items):
-        if item.status == STATUS_COMPILED:
-            report.compiled += 1
-        elif item.status == STATUS_CACHED:
+    seen = set()
+    for (wid, m), outcome in zip(jobs, outcomes):
+        if isinstance(outcome, FusionError):
+            report.failed += 1
+            report.failures[f"{wid}@m{m}"] = str(outcome) or "fusion failed"
+            continue
+        if outcome.cache_hit or id(outcome) in seen:
             report.cached += 1
         else:
-            report.failed += 1
-            report.failures[f"{wid}@m{m}"] = item.error or "fusion failed"
-            continue
+            report.compiled += 1
+        seen.add(id(outcome))
         table = report.tables.setdefault(wid, KernelTable(chain=get_chain_spec(wid)))
-        table.kernels[m] = item.kernel
+        table.kernels[m] = outcome.kernel
     report.elapsed_s = time.perf_counter() - start
     return report

@@ -19,7 +19,6 @@ from repro.search.incremental import (
     ShapeIndex,
     TransferSearch,
     TransferSeed,
-    seed_from_plan_dict,
     shape_family_key,
 )
 from repro.search.pruning import PruningRule, PruningStats, Pruner
@@ -43,6 +42,5 @@ __all__ = [
     "SpaceComponents",
     "initial_space_size",
     "BruteForceSearch",
-    "seed_from_plan_dict",
     "shape_family_key",
 ]

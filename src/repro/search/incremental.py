@@ -128,28 +128,6 @@ class TransferSeed:
     geometry: ClusterGeometry
 
 
-def seed_from_plan_dict(plan: Dict[str, object]) -> TransferSeed:
-    """Extract a :class:`TransferSeed` from an ``ExecutionPlan.to_dict()``.
-
-    Duck-typed on the serialized plan schema so the search layer never
-    imports the runtime cache (which would be circular).
-    """
-    schedule_payload = plan["schedule"]
-    schedule = LoopSchedule(
-        spatial=frozenset(schedule_payload["spatial"]),
-        temporal=tuple(schedule_payload["temporal"]),
-    )
-    tile_payload = plan["tile"]
-    tile = TileConfig(
-        block_m=int(tile_payload["m"]),
-        block_n=int(tile_payload["n"]),
-        block_k=int(tile_payload["k"]),
-        block_l=int(tile_payload["l"]),
-    )
-    geometry = ClusterGeometry(*(int(value) for value in plan["geometry"]))
-    return TransferSeed(schedule=schedule, tile=tile, geometry=geometry)
-
-
 def shape_family_key(
     chain: GemmChainSpec,
     device: HardwareSpec,
@@ -204,8 +182,7 @@ class ShapeIndex:
     ``(m, n, k, l) -> payload`` entries; :meth:`nearest` returns the
     payload whose shape minimises :func:`shape_distance` (ties broken by
     the smaller shape tuple, so lookups are deterministic).  Payloads are
-    opaque — the in-process index stores serialized plans, the plan cache
-    stores entry keys.
+    opaque; :class:`~repro.api.FlashFuser` stores :class:`TransferSeed` values.
     """
 
     def __init__(self, max_entries_per_family: int = 64) -> None:

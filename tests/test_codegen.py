@@ -84,15 +84,17 @@ class TestKernelIR:
 class TestCudaEmitter:
     def test_source_contains_cluster_dims_and_kernel_name(self):
         plan = _plan(geometry=ClusterGeometry(2, 4, 2, 4))
-        source = emit_cuda(plan)
+        source = emit_cuda(plan, lower_plan(plan))
         assert plan.kernel_name in source
         assert "__cluster_dims__" in source
         assert "dsm_shuffle" in source
 
     def test_source_mentions_workload_dimensions(self):
-        source = emit_cuda(_plan())
+        plan = _plan()
+        source = emit_cuda(plan, lower_plan(plan))
         assert "N=1024" in source and "K=512" in source
 
     def test_source_sections_in_order(self):
-        source = emit_cuda(_plan())
+        plan = _plan()
+        source = emit_cuda(plan, lower_plan(plan))
         assert source.index("prologue") < source.index("mainloop") < source.index("epilogue")

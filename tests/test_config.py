@@ -428,7 +428,6 @@ EXPECTED_EXPORTS = frozenset(
         "compile_graph",
         "extract_chains",
         "SearchEngine",
-        "BatchCompiler",
         "KernelServer",
         "PlanCache",
         "ServingStats",

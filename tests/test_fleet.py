@@ -266,7 +266,7 @@ class TestFrontEnd:
                     binned = table.chain.scaled(
                         m=bin_m, name=f"{table.chain.name}_m{bin_m}"
                     )
-                    _, key = local._cache_slot(binned, {})
+                    key = local.compiler.cache_key(binned)
                     assert kernels.cache.contains(key)
                     ours = response.kernel
                     assert pooled.plan.tile == ours.plan.tile
@@ -309,19 +309,25 @@ class TestFleetStartup:
 
 
 class TestFleetBackpressure:
-    # Backpressure tests use the default (slower) search knobs on purpose:
-    # the blocking compile must still be in flight when the test looks.
+    # The only worker is stopped before the blocking G8 compile is
+    # dispatched, so that compile is certainly still in flight when the
+    # test looks; the worker resumes once the rejection has been checked.
     def test_rejects_past_watermark_and_serve_retries(self):
         config = FleetConfig(
             workers=1, watermark=1, retry_after_s=0.02, health_interval_s=0.1
         )
         with ServingFleet(config) as fleet:
-            blocker = threading.Thread(
-                target=lambda: fleet.serve("G8", m=64), daemon=True
-            )
-            blocker.start()
-            assert _wait(lambda: len(fleet._pending) >= 1)
-            rejected = fleet.request("G1", 64)
+            process = fleet._handles[0].process
+            os.kill(process.pid, signal.SIGSTOP)
+            try:
+                blocker = threading.Thread(
+                    target=lambda: fleet.serve("G8", m=64), daemon=True
+                )
+                blocker.start()
+                assert _wait(lambda: len(fleet._pending) >= 1)
+                rejected = fleet.request("G1", 64)
+            finally:
+                os.kill(process.pid, signal.SIGCONT)
             assert rejected.rejected
             assert rejected.retry_after_s > 0
             assert rejected.worker is None
@@ -338,12 +344,17 @@ class TestFleetBackpressure:
             workers=1, watermark=1, retry_after_s=0.05, health_interval_s=0.1
         )
         with ServingFleet(config) as fleet:
-            blocker = threading.Thread(
-                target=lambda: fleet.serve("G8", m=64), daemon=True
-            )
-            blocker.start()
-            assert _wait(lambda: len(fleet._pending) >= 1)
-            response = fleet.serve("G1", m=64, max_wait_s=0.01)
+            process = fleet._handles[0].process
+            os.kill(process.pid, signal.SIGSTOP)
+            try:
+                blocker = threading.Thread(
+                    target=lambda: fleet.serve("G8", m=64), daemon=True
+                )
+                blocker.start()
+                assert _wait(lambda: len(fleet._pending) >= 1)
+                response = fleet.serve("G1", m=64, max_wait_s=0.01)
+            finally:
+                os.kill(process.pid, signal.SIGCONT)
             assert response.rejected
             blocker.join(timeout=60.0)
 

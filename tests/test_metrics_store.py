@@ -43,8 +43,8 @@ def _cache_sequence(directory, kernel):
     cache = PlanCache(directory=directory, max_memory_entries=2)
     cache.get("a" * 64)                       # disk hit
     cache.get("a" * 64)                       # memory hit
-    cache.load_kernel("a" * 64)               # memory hit, then rehydrate
-    cache.load_kernel("a" * 64)               # memoised kernel: memory hit
+    cache.lookup("a" * 64)                    # memory hit, then rehydrate
+    cache.lookup("a" * 64)                    # memoised kernel: memory hit
     cache.get("b" * 64)                       # plain miss
     (directory / ("c" * 64 + ".json")).write_text("{torn", encoding="utf-8")
     cache.get("c" * 64)                       # corrupt

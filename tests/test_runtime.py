@@ -1,4 +1,5 @@
-"""Tests for the runtime serving subsystem (cache, batch, server, stats)."""
+"""Tests for the runtime serving subsystem (cache, compile fan-out, server,
+warmup, stats)."""
 
 from __future__ import annotations
 
@@ -6,11 +7,11 @@ import json
 
 import pytest
 
-from repro import FlashFuser, FusionError, KernelTable
+from repro import CompileRequest, FlashFuser, FusionError, KernelTable, compile_graph
 from repro.codegen.plan import ExecutionPlan
 from repro.ir.builders import build_standard_ffn
+from repro.ir.workloads import MODEL_ZOO, get_chain_spec
 from repro.runtime import (
-    BatchCompiler,
     KernelServer,
     PlanCache,
     PlanCacheEntry,
@@ -262,39 +263,98 @@ class TestKernelTableLookup:
 
 
 # --------------------------------------------------------------------- #
-# Batch compiler
+# Compile fan-out (FlashFuser.compile_chains)
 # --------------------------------------------------------------------- #
-class TestBatchCompiler:
+def _serial_plans(h100, chains):
+    """(plan dict, plan-cache key) per chain from serial compile_request calls."""
+    with _compiler(h100, PlanCache()) as serial:
+        responses = [
+            serial.compile_request(CompileRequest(chain=chain)) for chain in chains
+        ]
+    return [(r.kernel.plan.to_dict(), r.cache_key) for r in responses]
+
+
+class TestCompileChains:
+    def test_repeated_shapes_search_once(self, h100, search_calls):
+        with _compiler(h100, PlanCache()) as compiler:
+            outcomes = compiler.compile_chains(
+                [_chain("dup-a"), _chain("other", m=64), _chain("dup-b")]
+            )
+        assert search_calls["count"] == 2
+        assert [outcome.cache_hit for outcome in outcomes] == [False] * 3
+        # A duplicate shares the first equally shaped chain's response.
+        assert outcomes[2] is outcomes[0]
+        assert outcomes[2].kernel.plan.chain.name == "dup-a"
+        assert outcomes[1].kernel.plan.chain.m == 64
+
+    def test_failures_do_not_abort_batch(self, h100, large_chain):
+        with FlashFuser(
+            device=h100, include_dsm=False, top_k=3, max_tile=128
+        ) as compiler:
+            failed, ok = compiler.compile_chains([large_chain, _chain()])
+        assert isinstance(failed, FusionError) and str(failed)
+        assert ok.kernel.plan.chain.name == "rt-small"
+
     def test_duplicate_bins_searched_once(self, h100, search_calls):
-        batch = BatchCompiler(_compiler(h100, PlanCache()))
-        table = batch.compile_table(_chain(), m_bins=(64, 64, 128, 128))
+        with _compiler(h100, PlanCache()) as compiler:
+            table = compiler.compile_table(_chain(), m_bins=(64, 64, 128, 128))
         assert table.bins() == [64, 128]
         assert search_calls["count"] == 2
         assert table.lookup(100).plan.chain.m == 128
 
-    def test_duplicate_chains_fan_out_with_own_names(self, h100, search_calls):
-        batch = BatchCompiler(_compiler(h100, PlanCache()))
-        report = batch.compile_chains([_chain("dup-a"), _chain("dup-b")])
-        assert search_calls["count"] == 1
-        assert report.deduplicated == 1
-        assert [item.status for item in report.items] == ["compiled", "cached"]
-        assert report.items[1].kernel.plan.chain.name == "dup-b"
+    def test_table_plans_and_keys_match_serial_compiles(self, h100):
+        base = _chain()
+        bins = (32, 64, 128, 256)
+        with _compiler(h100, PlanCache()) as compiler:
+            table = compiler.compile_table(base, m_bins=bins)
+            keys = [
+                compiler.cache_key(table.kernels[m].plan.chain) for m in bins
+            ]
+        serial = _serial_plans(
+            h100, [base.scaled(m=m, name=f"{base.name}_m{m}") for m in bins]
+        )
+        assert [table.kernels[m].plan.to_dict() for m in bins] == [
+            plan for plan, _ in serial
+        ]
+        assert keys == [key for _, key in serial]
 
-    def test_failures_do_not_abort_batch(self, h100, large_chain):
-        compiler = FlashFuser(device=h100, include_dsm=False, top_k=3, max_tile=128)
-        batch = BatchCompiler(compiler)
-        report = batch.compile_chains([large_chain, _chain()])
-        assert report.failed == 1
-        assert report.compiled == 1
-        failed = report.items[0]
-        assert failed.kernel is None and failed.error
-        assert report.items[1].ok
+    def test_warmup_plans_and_keys_match_serial_compiles(self, h100):
+        ids, bins = ["G1", "G4", "S1"], (64, 128)
+        with _compiler(h100, PlanCache()) as compiler:
+            report = warmup_workloads(compiler, ids, m_bins=bins)
+            fanned = [
+                (kernel.plan.to_dict(), compiler.cache_key(kernel.plan.chain))
+                for kernel in (report.tables[w].kernels[m] for w in ids for m in bins)
+            ]
+        serial = _serial_plans(
+            h100,
+            [
+                get_chain_spec(w).scaled(m=m, name=f"{w}_m{m}")
+                for w in ids
+                for m in bins
+            ],
+        )
+        assert fanned == serial
 
-    def test_compile_workloads_reports_per_id(self, h100, search_calls):
-        batch = BatchCompiler(_compiler(h100, PlanCache()))
-        results = batch.compile_workloads(["G1", "G1"])
-        assert search_calls["count"] == 1
-        assert results["G1"].ok
+    def test_graph_plans_and_keys_match_serial_compiles(self, h100, tmp_path):
+        for name, model in MODEL_ZOO.items():
+            graph = model.layer_graph(seq_len=128)
+            cache = PlanCache(directory=tmp_path / name)
+            with _compiler(h100, cache) as compiler:
+                plan = compile_graph(graph, compiler=compiler)
+            # compile_graph canonicalizes before extracting; the serial
+            # reference compiles the first chain of each shape it extracted.
+            first = {}
+            for segment in plan.fused_segments:
+                first.setdefault(segment.chain.canonical_hash(), segment.chain)
+            serial = dict(
+                zip(first, _serial_plans(h100, list(first.values())))
+            )
+            assert plan.fused_segments, name
+            for segment in plan.fused_segments:
+                expected, _ = serial[segment.chain.canonical_hash()]
+                assert segment.kernel.plan.to_dict() == expected, name
+            assert cache.disk_keys() == sorted(key for _, key in serial.values())
 
 
 # --------------------------------------------------------------------- #
@@ -371,6 +431,19 @@ class TestKernelServer:
         # the metrics must say so rather than reporting a phantom disk hit.
         assert response.source == "compiled"
         assert search_calls["count"] == 2
+        # One probe per miss: the torn entry is read (and counted) once.
+        stats = restarted.cache.stats
+        assert (stats.corrupt_entries, stats.misses) == (1, 1)
+
+    def test_cold_request_probes_the_cache_once(self, h100, search_calls):
+        server = KernelServer(
+            compiler=FlashFuser(device=h100, top_k=2, max_tile=64, cache=PlanCache()),
+            m_bins=(64,),
+        )
+        assert server.request("G1", 64).source == "compiled"
+        stats = server.cache.stats.to_dict()
+        assert (stats["misses"], stats["stores"], stats["memory_hits"]) == (1, 1, 0)
+        assert search_calls["count"] == 1
 
     def test_cache_accepts_directory_path(self, h100, tmp_path):
         server = KernelServer(
@@ -444,6 +517,13 @@ class TestWarmup:
         again = warmup_workloads(compiler, ["G1"], m_bins=(64, 128))
         assert again.cached == 2
         assert search_calls["count"] == 2
+
+    def test_repeated_workload_counts_as_cached(self, h100, search_calls):
+        with _compiler(h100, PlanCache()) as compiler:
+            report = warmup_workloads(compiler, ["G1", "G1"], m_bins=(64,))
+        assert search_calls["count"] == 1
+        assert (report.jobs, report.compiled, report.cached) == (2, 1, 1)
+        assert report.tables["G1"].bins() == [64]
 
     def test_warmup_rejects_bad_bins(self, h100):
         compiler = _compiler(h100, None)
