@@ -43,13 +43,15 @@ SOURCE_UNFUSABLE = "unfusable"
 SOURCE_SIMULATED = "simulated"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlanSegment:
     """One schedulable unit of a compiled model plan.
 
     Either a fused chain kernel or a run of unfused operators, carrying its
     full provenance: how it was resolved, whether the plan cache served it,
-    and its fused-vs-unfused simulated times.
+    and its fused-vs-unfused simulated times.  Segments are immutable: a
+    serving frontend shares one priced residual segment across every plan
+    it assembles for the same extraction.
 
     Example
     -------
@@ -211,11 +213,55 @@ class ChainResolver(Protocol):
         ...
 
 
+@dataclass(frozen=True)
+class _UnfusedPricing:
+    """The resolver-independent part of a plan for one extraction.
+
+    Each match's unfused-baseline time (in ``extraction.matches`` order) and
+    the priced residual segments (in ``extraction.residual`` order).  Both
+    depend only on the extraction and the simulator, so a server that
+    memoises the extraction prices them once.
+    """
+
+    unfused_us: Tuple[float, ...]
+    residual: Tuple[PlanSegment, ...]
+
+
+def _price_unfused(
+    extraction: ExtractionResult, simulator: PerformanceSimulator
+) -> _UnfusedPricing:
+    """Charge every match's unfused baseline and every residual operator."""
+    unfused_us = tuple(
+        simulator.simulate_kernels(unfused_launches(match.chain)).time_us
+        for match in extraction.matches
+    )
+    index_of = {
+        name: position for position, name in enumerate(extraction.topological_names)
+    }
+    residual = []
+    for op in extraction.residual:
+        time_us = simulator.simulate_kernels([_launch_for(op)]).time_us
+        residual.append(
+            PlanSegment(
+                name=op.name,
+                kind=KIND_UNFUSED,
+                operators=(op.name,),
+                time_us=time_us,
+                unfused_time_us=time_us,
+                source=SOURCE_SIMULATED,
+                anchor=index_of[op.name],
+            )
+        )
+    return _UnfusedPricing(unfused_us=unfused_us, residual=tuple(residual))
+
+
 def assemble_plan(
     graph_name: str,
     extraction: ExtractionResult,
     resolver: ChainResolver,
     simulator: PerformanceSimulator,
+    *,
+    pricing: Optional[_UnfusedPricing] = None,
 ) -> ModelPlan:
     """Build a :class:`ModelPlan` from an extraction and a chain resolver.
 
@@ -223,12 +269,16 @@ def assemble_plan(
     :class:`~repro.graphs.server.ModelServer` (chains resolved through the
     serving table -> cache -> compile path); both produce identically
     structured plans, differing only in each fused segment's source.
+    ``pricing`` is the extraction's unfused baselines and residual segments
+    on ``simulator``, priced here when omitted; the model server passes the
+    copy it memoised with the extraction.
     """
+    if pricing is None:
+        pricing = _price_unfused(extraction, simulator)
     segments: List[PlanSegment] = []
-    for match in extraction.matches:
-        unfused_us = simulator.simulate_kernels(
-            unfused_launches(match.chain)
-        ).time_us
+    for match, unfused_us in zip(
+        extraction.matches, pricing.unfused_us, strict=True
+    ):
         try:
             kernel, source, cache_hit, time_us = resolver(match)
         except FusionError:
@@ -259,22 +309,7 @@ def assemble_plan(
                 kernel=kernel,
             )
         )
-    index_of = {
-        name: position for position, name in enumerate(extraction.topological_names)
-    }
-    for op in extraction.residual:
-        time_us = simulator.simulate_kernels([_launch_for(op)]).time_us
-        segments.append(
-            PlanSegment(
-                name=op.name,
-                kind=KIND_UNFUSED,
-                operators=(op.name,),
-                time_us=time_us,
-                unfused_time_us=time_us,
-                source=SOURCE_SIMULATED,
-                anchor=index_of[op.name],
-            )
-        )
+    segments.extend(pricing.residual)
     segments.sort(key=lambda segment: segment.anchor)
     return ModelPlan(graph_name=graph_name, segments=segments, extraction=extraction)
 

@@ -30,7 +30,13 @@ from repro.errors import FusionError
 
 from repro.api import CompiledKernel, CompileRequest
 from repro.graphs.extract import ChainMatch, ExtractionResult, extract_chains
-from repro.graphs.plan import SOURCE_SIMULATED, ModelPlan, assemble_plan
+from repro.graphs.plan import (
+    SOURCE_SIMULATED,
+    ModelPlan,
+    _price_unfused,
+    _UnfusedPricing,
+    assemble_plan,
+)
 from repro.ir.graph import OperatorGraph
 from repro.ir.workloads import ModelConfig, get_model
 from repro.obs.trace import tracer
@@ -62,6 +68,10 @@ _SOURCE_COST = {
 
 #: Distinct (model, m) extraction results kept in the serve-path memo.
 _EXTRACTION_MEMO_CAPACITY = 64
+
+#: One memoised (model, m): the graph, its extraction, and the extraction's
+#: unfused pricing on the server's residual simulator.
+_Memoized = Tuple[OperatorGraph, ExtractionResult, _UnfusedPricing]
 
 
 @dataclass
@@ -147,12 +157,14 @@ class ModelServer:
         self.stats = stats or ServingStats()
         self._factories: Dict[str, Optional[GraphFactory]] = {}
         self._static_graphs: Dict[str, OperatorGraph] = {}
-        # LRU-bounded (model, m) -> (graph, extraction) memo: dynamic-M
-        # traffic must not grow server state without bound (the backing
-        # kernel tables are bounded by binning for the same reason).  The
+        # LRU-bounded (model, m) -> (graph, extraction, pricing) memo:
+        # dynamic-M traffic must not grow server state without bound (the
+        # backing kernel tables are bounded by binning for the same reason).
+        # The pricing is everything in a plan that does not depend on how
+        # the chains resolve, so a memo hit only resolves the chains.  The
         # registry and memo share a lock because the backing request path is
         # built for concurrent serving threads.
-        self._extractions: "OrderedDict[Tuple[str, int], Tuple[OperatorGraph, ExtractionResult]]" = OrderedDict()
+        self._extractions: "OrderedDict[Tuple[str, int], _Memoized]" = OrderedDict()
         self._lock = make_lock("model-server", reentrant=True)
 
     # ------------------------------------------------------------------ #
@@ -214,7 +226,7 @@ class ModelServer:
         """
         start = time.perf_counter()
         with tracer().span("model.serve", model=name, m=m) as span:
-            graph, extraction, effective_m = self._materialize(name, m)
+            graph, extraction, pricing, effective_m = self._materialize(name, m)
             settled = self._resolve_all(extraction.matches)
             sources: Dict[str, str] = {
                 chain_name: outcome[1]
@@ -250,7 +262,9 @@ class ModelServer:
                 kernel, source, cache_hit, charged_us = outcome[:4]
                 return kernel, source, cache_hit, charged_us
 
-            plan = assemble_plan(graph.name, extraction, resolve, self.simulator)
+            plan = assemble_plan(
+                graph.name, extraction, resolve, self.simulator, pricing=pricing
+            )
             source = max(
                 (value for value in sources.values()),
                 key=lambda value: _SOURCE_COST.get(value, 0),
@@ -369,7 +383,7 @@ class ModelServer:
 
     def _materialize(
         self, name: str, m: Optional[int]
-    ) -> Tuple[OperatorGraph, ExtractionResult, int]:
+    ) -> Tuple[OperatorGraph, ExtractionResult, _UnfusedPricing, int]:
         with self._lock:
             if name not in self._factories:
                 raise KeyError(f"unknown model {name!r}; register() it first")
@@ -381,18 +395,23 @@ class ModelServer:
                     f"model {name!r} was registered as a fixed graph; register "
                     "a graph factory (m -> OperatorGraph) to serve variable M"
                 )
-            graph = static_graph
-            extraction = self._extract_cached(name, 0, graph)
+            graph, extraction, pricing = self._memoized_extraction(
+                (name, 0),
+                lambda: (
+                    static_graph,
+                    extract_chains(static_graph, validate=False, rewrite=True),
+                ),
+            )
             effective_m = (
                 extraction.matches[0].chain.m if extraction.matches else 0
             )
-            return graph, extraction, effective_m
+            return graph, extraction, pricing, effective_m
         if m is None or m <= 0:
             raise ValueError("serve(name, m) requires a positive token count m")
-        graph, extraction = self._memoized_extraction(
+        graph, extraction, pricing = self._memoized_extraction(
             (name, m), lambda: self._build_and_extract(factory, m)
         )
-        return graph, extraction, m
+        return graph, extraction, pricing, m
 
     def _build_and_extract(
         self, factory: GraphFactory, m: int
@@ -400,26 +419,23 @@ class ModelServer:
         graph = factory(m)
         return graph, extract_chains(graph, rewrite=True)
 
-    def _extract_cached(
-        self, name: str, m: int, graph: OperatorGraph
-    ) -> ExtractionResult:
-        return self._memoized_extraction(
-            (name, m),
-            lambda: (graph, extract_chains(graph, validate=False, rewrite=True)),
-        )[1]
-
     def _memoized_extraction(
         self,
         key: Tuple[str, int],
         build: Callable[[], Tuple[OperatorGraph, ExtractionResult]],
-    ) -> Tuple[OperatorGraph, ExtractionResult]:
-        # Extraction is pattern matching over a small DAG (microseconds
-        # against a cold serve's search), so building under the lock is
-        # cheaper than racing duplicate builds.
+    ) -> _Memoized:
+        # Extraction is pattern matching over a small DAG and pricing is a
+        # few simulator calls (microseconds against a cold serve's search),
+        # so building under the lock is cheaper than racing duplicate builds.
         with self._lock:
             cached = self._extractions.get(key)
             if cached is None:
-                cached = build()
+                graph, extraction = build()
+                cached = (
+                    graph,
+                    extraction,
+                    _price_unfused(extraction, self.simulator),
+                )
                 self._extractions[key] = cached
                 while len(self._extractions) > _EXTRACTION_MEMO_CAPACITY:
                     self._extractions.popitem(last=False)

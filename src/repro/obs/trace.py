@@ -9,9 +9,9 @@ exported span records stitch back into one end-to-end trace per request.
 Design points, in the same spirit as :mod:`repro.analysis.locks`:
 
 * **Zero overhead when off.**  Tracing is enabled by ``REPRO_TRACE=1``
-  (or :func:`enable`); when off, :meth:`Tracer.span` returns a shared
-  no-op scope and touches no clock.  Obs knobs are plan-neutral — they can
-  never alter a cache key or a selected plan.
+  at import (or :func:`enable`); when off, :meth:`Tracer.span` returns a
+  shared no-op scope and touches no clock or environment.  Obs knobs are
+  plan-neutral — they can never alter a cache key or a selected plan.
 * **Deterministic IDs.**  Trace and span IDs are per-process counters
   prefixed with a process tag (``main``, ``w0-i1``, ...) — no randomness,
   which keeps the deterministic-layer lint meaningful and makes span files
@@ -62,10 +62,6 @@ ENV_DIR = "REPRO_TRACE_DIR"
 #: Process tag override (defaults to ``main``; fleet workers set their own).
 ENV_TAG = "REPRO_TRACE_TAG"
 
-#: Explicit override set by :func:`enable` / :func:`disable`; ``None``
-#: defers to the environment variable.
-_mode_override: Optional[bool] = None
-
 _tls = threading.local()
 
 
@@ -73,11 +69,15 @@ def _env_enabled() -> bool:
     return os.environ.get(ENV_VAR, "").strip().lower() in ("1", "true", "on")
 
 
+#: The tracing flag: read from :data:`ENV_VAR` at import (and by
+#: :func:`reset`), set by :func:`enable` / :func:`disable`.  Every span site
+#: asks :func:`enabled`, so it is a variable read, not an environment lookup.
+_enabled: bool = _env_enabled()
+
+
 def enabled() -> bool:
     """Whether tracing is currently active."""
-    if _mode_override is not None:
-        return _mode_override
-    return _env_enabled()
+    return _enabled
 
 
 def enable(out_dir: Optional[Union[str, os.PathLike]] = None) -> None:
@@ -90,8 +90,8 @@ def enable(out_dir: Optional[Union[str, os.PathLike]] = None) -> None:
         fleet worker processes (which inherit the environment) flush their
         span files next to this process's.
     """
-    global _mode_override
-    _mode_override = True
+    global _enabled
+    _enabled = True
     os.environ[ENV_VAR] = "1"
     if out_dir is not None:
         os.environ[ENV_DIR] = os.fspath(out_dir)
@@ -99,15 +99,19 @@ def enable(out_dir: Optional[Union[str, os.PathLike]] = None) -> None:
 
 def disable() -> None:
     """Turn tracing off (and stop advertising it to spawned workers)."""
-    global _mode_override
-    _mode_override = False
+    global _enabled
+    _enabled = False
     os.environ.pop(ENV_VAR, None)
 
 
 def reset() -> None:
-    """Forget any :func:`enable`/:func:`disable` override (test helper)."""
-    global _mode_override
-    _mode_override = None
+    """Re-read :data:`ENV_VAR`, forgetting :func:`enable`/:func:`disable`.
+
+    The flag is read from the environment only at import and here, so an
+    ``os.environ`` change made mid-process takes effect on ``reset()``.
+    """
+    global _enabled
+    _enabled = _env_enabled()
 
 
 def _now_us() -> float:

@@ -184,6 +184,9 @@ class KernelServer:
         self.stats = stats or ServingStats()
         self._tables: Dict[str, KernelTable] = {}
         self._chains: Dict[str, GemmChainSpec] = {}
+        # An explicit chain's M-independent shape -> its table key, so a
+        # repeat request looks the key up instead of rehashing the chain.
+        self._chain_keys: Dict[Tuple[object, ...], str] = {}
         self._lock = make_lock("kernel-server", reentrant=True)
         # One lock per (workload, bin) so concurrent first requests for the
         # same kernel run a single search instead of racing duplicates.
@@ -346,9 +349,17 @@ class KernelServer:
                 base = self._base_chain(key)
             else:
                 base = request.chain
-                key = self._chain_key(base)
+                # Every canonical_dict() field but m, as attributes: the
+                # table key is the hash of exactly these values.
+                shape = (
+                    base.n, base.k, base.l, base.kind, base.activation, base.dtype
+                )
                 with self._lock:
-                    self._chains.setdefault(key, base)
+                    key = self._chain_keys.get(shape)
+                    if key is None:
+                        key = self._chain_key(base)
+                        self._chain_keys[shape] = key
+                        self._chains.setdefault(key, base)
             runtime_m = request.m if request.m is not None else base.m
             return key, base, runtime_m, overrides
         if m is None:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
-from repro.api import FlashFuser, FusionError
+from repro.api import CompileRequest, FlashFuser, FusionError
 from repro.graphs import (
     ChainMatch,
     ModelServer,
@@ -18,6 +22,7 @@ from repro.graphs.plan import (
     SOURCE_SEARCH,
     SOURCE_SIMULATED,
     SOURCE_UNFUSABLE,
+    assemble_plan,
 )
 from repro.ir.builders import (
     build_conv_chain,
@@ -28,8 +33,16 @@ from repro.ir.builders import (
 from repro.ir.graph import ChainKind, GemmChainSpec, OperatorGraph
 from repro.ir.ops import Activation, ActivationKind, Elementwise, ElementwiseKind, Gemm
 from repro.ir.tensor import TensorSpec
-from repro.ir.workloads import get_model, get_workload, list_workloads
-from repro.runtime import PlanCache
+from repro.ir.workloads import (
+    GRAPH_ZOO,
+    MODEL_ZOO,
+    get_chain_spec,
+    get_model,
+    get_workload,
+    list_workloads,
+)
+from repro.runtime import KernelServer, PlanCache
+from repro.sim.engine import PerformanceSimulator
 
 TINY = dict(m=64, n=256, k=128, l=128)
 
@@ -534,6 +547,264 @@ class TestModelServer:
         model_server.register("bert", "BERT")
         response = model_server.serve("bert", m=64)
         assert response.plan.summary()["fused_chains"] == 1
+
+
+# --------------------------------------------------------------------- #
+# Memoised plans: a memo hit reuses the extraction's pricing
+# --------------------------------------------------------------------- #
+#: Serve sizes for the differential tests; 300 exceeds the largest bin, so
+#: the fused segment is charged as several kernel waves.
+MEMO_SIZES = (1, 8, 64, 100, 256, 300)
+
+
+def _segment_fields(plan):
+    return [
+        (
+            segment.name,
+            segment.kind,
+            segment.anchor,
+            segment.source,
+            segment.cache_hit,
+            segment.time_us,
+            segment.unfused_time_us,
+        )
+        for segment in plan.segments
+    ]
+
+
+def _assert_matches_fresh_assembly(server, graph, served):
+    """``served`` equals a fresh extraction and assembly of ``graph`` whose
+    chains resolve to the kernels the served plan used."""
+    by_chain = {s.name: s for s in served.plan.segments if s.chain is not None}
+
+    def resolve(match):
+        segment = by_chain[match.chain.name]
+        if not segment.fused:
+            raise FusionError(f"{match.chain.name} is unfusable")
+        return segment.kernel, segment.source, segment.cache_hit, segment.time_us
+
+    fresh = assemble_plan(
+        graph.name, extract_chains(graph, rewrite=True), resolve, server.simulator
+    )
+    assert _segment_fields(served.plan) == _segment_fields(fresh)
+    assert served.plan.time_us == fresh.time_us
+    assert served.plan.unfused_time_us == fresh.unfused_time_us
+
+
+class _Spy:
+    """Counts the calls of one patched callable."""
+
+    def __init__(self, monkeypatch, owner, name, wrap=lambda f: f):
+        original = getattr(owner, name)
+        self.calls = 0
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrap(counted))
+
+
+def _json_chain_key(chain):
+    identity = {k: v for k, v in chain.canonical_dict().items() if k != "m"}
+    blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
+    return "chain:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def _zoo_chains():
+    chains = [get_chain_spec(workload) for workload in list_workloads()]
+    for name in MODEL_ZOO:
+        for m in (8, 300):
+            layer = get_model(name).layer_graph(seq_len=m)
+            chains += [match.chain for match in extract_chains(layer).matches]
+    for factory in GRAPH_ZOO.values():
+        graph = factory(128)
+        chains += [
+            match.chain for match in extract_chains(graph, rewrite=True).matches
+        ]
+    return chains
+
+
+class TestMemoizedPlans:
+    @pytest.fixture(scope="class")
+    def memo_server(self, h100):
+        with ModelServer(device=h100, top_k=1, max_tile=64, m_bins=(64, 256)) as server:
+            yield server
+
+    @pytest.mark.parametrize("model", sorted(MODEL_ZOO))
+    def test_zoo_memo_hit_equals_fresh_assembly(self, memo_server, model):
+        memo_server.register(model, model)
+        for m in MEMO_SIZES:
+            first = memo_server.serve(model, m=m)
+            again = memo_server.serve(model, m=m)
+            graph = get_model(model).layer_graph(seq_len=m)
+            _assert_matches_fresh_assembly(memo_server, graph, first)
+            _assert_matches_fresh_assembly(memo_server, graph, again)
+            assert again.source == "table"
+        over = memo_server.serve(model, m=300).plan.fused_segments[0]
+        assert over.time_us == over.kernel.time_us * 2
+
+    @pytest.mark.parametrize("entry", sorted(GRAPH_ZOO))
+    def test_graph_zoo_factory_memo_hit_equals_fresh_assembly(
+        self, memo_server, entry
+    ):
+        factory = GRAPH_ZOO[entry]
+        memo_server.register(f"zoo.{entry}", factory)
+        for m in (64, 128, 300):
+            memo_server.serve(f"zoo.{entry}", m=m)
+            again = memo_server.serve(f"zoo.{entry}", m=m)
+            _assert_matches_fresh_assembly(memo_server, factory(m), again)
+
+    def test_fixed_graph_memo_hit_equals_fresh_assembly(self, memo_server):
+        graph, _ = _tiny_graph("memo-fixed")
+        memo_server.register("memo-fixed", graph)
+        memo_server.serve("memo-fixed")
+        again = memo_server.serve("memo-fixed")
+        _assert_matches_fresh_assembly(memo_server, graph, again)
+
+    def test_reregister_does_not_reuse_old_pricing(self, memo_server):
+        def layer(intermediate):
+            return lambda m: build_transformer_layer(
+                "memo.re", m=m, hidden=128, intermediate=intermediate
+            )
+
+        memo_server.register("memo-re", layer(256))
+        old = memo_server.serve("memo-re", m=64)
+        memo_server.register("memo-re", layer(512))
+        new = memo_server.serve("memo-re", m=64)
+        _assert_matches_fresh_assembly(memo_server, layer(512)(64), new)
+        assert new.plan.unfused_time_us != old.plan.unfused_time_us
+
+    def test_memo_hit_shares_frozen_residual_segments(self, memo_server):
+        memo_server.register("memo-frozen", "BERT")
+        first = memo_server.serve("memo-frozen", m=8)
+        again = memo_server.serve("memo-frozen", m=8)
+        residual = [s for s in again.plan.segments if s.source == SOURCE_SIMULATED]
+        assert residual
+        assert all(
+            a is b
+            for a, b in zip(
+                residual,
+                [s for s in first.plan.segments if s.source == SOURCE_SIMULATED],
+            )
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            residual[0].time_us = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            again.plan.fused_segments[0].source = "search"
+
+
+class TestWarmServeCounters:
+    @pytest.fixture()
+    def server(self, h100):
+        with ModelServer(device=h100, top_k=1, max_tile=64, m_bins=(64, 256)) as server:
+            for model in ("BERT", "LLaMA-1B"):
+                server.register(model, model)
+            server.register("moe", GRAPH_ZOO["moe_layer"])
+            yield server
+
+    @pytest.mark.parametrize("model", ["BERT", "LLaMA-1B", "moe"])
+    def test_memo_hit_prices_nothing_and_hashes_nothing(
+        self, server, monkeypatch, model
+    ):
+        server.serve(model, m=64)
+        simulate = _Spy(monkeypatch, PerformanceSimulator, "simulate_kernels")
+        chain_key = _Spy(monkeypatch, KernelServer, "_chain_key", staticmethod)
+        sha256 = _Spy(monkeypatch, hashlib, "sha256")
+        response = server.serve(model, m=64)
+        assert response.source == "table"
+        assert simulate.calls == 0
+        assert chain_key.calls == 0
+        assert sha256.calls == 0
+
+    @pytest.mark.parametrize("model", ["BERT", "LLaMA-1B", "moe"])
+    def test_memo_miss_prices_each_match_and_residual_once(
+        self, server, monkeypatch, model
+    ):
+        server.serve(model, m=64)
+        simulate = _Spy(monkeypatch, PerformanceSimulator, "simulate_kernels")
+        chain_key = _Spy(monkeypatch, KernelServer, "_chain_key", staticmethod)
+        response = server.serve(model, m=63)
+        extraction = response.plan.extraction
+        assert simulate.calls == extraction.num_chains + len(extraction.residual)
+        # Same chain shapes as the m=64 serve: their table keys are known.
+        assert chain_key.calls == 0
+
+    def test_new_shape_hashes_once(self, server, monkeypatch):
+        chain_key = _Spy(monkeypatch, KernelServer, "_chain_key", staticmethod)
+        server.register("opt", "OPT-1.3B")
+        server.serve("opt", m=64)
+        server.serve("opt", m=8)
+        server.serve("opt", m=64)
+        assert chain_key.calls == 1
+
+    def test_every_zoo_chain_key_equals_its_json_hash(self, h100):
+        server = KernelServer(device=h100, top_k=1, max_tile=64)
+        try:
+            chains = _zoo_chains()
+            for chain in chains + chains:
+                key, base, _, _ = server._parse_request(
+                    CompileRequest(chain=chain), None
+                )
+                assert key == _json_chain_key(chain)
+                assert base.same_shape(chain.scaled(m=base.m))
+            distinct = {_json_chain_key(chain) for chain in chains}
+            assert len(server._chain_keys) == len(distinct)
+        finally:
+            server.close()
+
+    def test_chain_key_separates_every_identity_field_but_m(self, h100):
+        from repro.ir.tensor import DType
+
+        base = GemmChainSpec("key-base", m=64, n=256, k=128, l=128)
+        variants = [
+            base,
+            dataclasses.replace(base, n=512),
+            dataclasses.replace(base, k=256),
+            dataclasses.replace(base, l=256),
+            dataclasses.replace(base, kind=ChainKind.GATED_FFN),
+            dataclasses.replace(base, activation=ActivationKind.GELU),
+            dataclasses.replace(base, dtype=DType.BF16),
+        ]
+        assert set(base.canonical_dict()) - {"m"} == {
+            "n", "k", "l", "kind", "activation", "dtype"
+        }
+        server = KernelServer(device=h100, top_k=1, max_tile=64)
+        try:
+            keys = [
+                server._parse_request(CompileRequest(chain=chain), None)[0]
+                for chain in variants + [base.scaled(m=8, name="key-other")]
+            ]
+        finally:
+            server.close()
+        assert keys == [_json_chain_key(chain) for chain in variants] + [keys[0]]
+        assert len(set(keys)) == len(variants)
+
+    def test_concurrent_first_requests_agree_on_chain_keys(self, h100):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        chains = _zoo_chains()
+        server = KernelServer(device=h100, top_k=1, max_tile=64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                keys = list(
+                    pool.map(
+                        lambda chain: server._parse_request(
+                            CompileRequest(chain=chain), None
+                        )[0],
+                        chains * 8,
+                        timeout=60,
+                    )
+                )
+        finally:
+            sys.setswitchinterval(interval)
+            server.close()
+        assert keys == [_json_chain_key(chain) for chain in chains * 8]
+        assert len(server._chain_keys) == len(set(keys))
+        assert set(server._chains) == set(keys)
 
 
 # --------------------------------------------------------------------- #

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import os
 import threading
 
 import pytest
@@ -61,6 +62,12 @@ def _clean_tracing(monkeypatch):
     obs_trace.reset()
     tracer().clear()
     yield
+    # enable() publishes REPRO_TRACE=1 (and the span directory) for spawned
+    # workers; drop both, restore the caller's environment and re-read it,
+    # so tracing does not stay on for the rest of the session.
+    obs_trace.disable()
+    os.environ.pop(obs_trace.ENV_DIR, None)
+    monkeypatch.undo()
     obs_trace.reset()
     tracer().clear()
 
@@ -301,6 +308,49 @@ class TestTracer:
         assert tracer().spans() == []
         assert tracer().capture() is None
         assert tracer().wire_context() is None
+
+    def test_enable_disable_reset_set_the_flag(self):
+        assert not obs_trace.enabled()
+        obs_trace.enable()
+        assert obs_trace.enabled()
+        assert os.environ[obs_trace.ENV_VAR] == "1"
+        obs_trace.disable()
+        assert not obs_trace.enabled()
+        assert obs_trace.ENV_VAR not in os.environ
+        obs_trace.reset()
+        assert not obs_trace.enabled()
+        # reset() re-reads the REPRO_TRACE=1 that enable() published.
+        obs_trace.enable()
+        obs_trace.reset()
+        assert obs_trace.enabled()
+
+    def test_environment_change_takes_effect_on_reset(self, monkeypatch):
+        monkeypatch.setenv(obs_trace.ENV_VAR, "1")
+        assert not obs_trace.enabled()
+        obs_trace.reset()
+        assert obs_trace.enabled()
+        monkeypatch.setenv(obs_trace.ENV_VAR, "off")
+        assert obs_trace.enabled()
+        obs_trace.reset()
+        assert not obs_trace.enabled()
+
+    def test_fresh_process_reads_the_environment_at_import(self):
+        import subprocess
+        import sys
+
+        from pathlib import Path
+
+        src = str(Path(obs_trace.__file__).resolve().parents[2])
+        env = dict(os.environ, PYTHONPATH=src, **{obs_trace.ENV_VAR: "1"})
+        probe = "from repro.obs import trace; print(trace.enabled())"
+        output = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert output.strip() == "True"
 
     def test_nesting_builds_one_trace(self):
         obs_trace.enable()

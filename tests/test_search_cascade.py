@@ -263,6 +263,8 @@ class TestSearchCounters:
             ).search(_standard(name="cascade-span"))
             spans = [s for s in tracer().spans() if s["name"] == "search.prune"]
         finally:
+            obs_trace.disable()
+            monkeypatch.undo()
             obs_trace.reset()
             tracer().clear()
         assert len(spans) == 1
