@@ -15,10 +15,9 @@ every inter-SM data exchange a fused kernel needs:
   TMA-based atomic reduction across clusters through L2/global memory.
 
 The geometry that drives them lives in
-:class:`~repro.dsm_comm.geometry.ClusterGeometry`; tile-level dataflow graphs
-(Figure 8) in :mod:`repro.dsm_comm.tile_graph`; and NumPy reference
+:class:`~repro.dsm_comm.geometry.ClusterGeometry`; NumPy reference
 implementations, used by the functional executor to prove the fused dataflow
-correct, in :mod:`repro.dsm_comm.functional`.
+correct, live in :mod:`repro.dsm_comm.functional`.
 """
 
 from repro.dsm_comm.functional import (
@@ -29,16 +28,12 @@ from repro.dsm_comm.functional import (
 )
 from repro.dsm_comm.geometry import ClusterGeometry
 from repro.dsm_comm.primitives import CommPlan, DsmPrimitive, PrimitiveKind
-from repro.dsm_comm.tile_graph import TileGraph, TileNode, build_tile_graph
 
 __all__ = [
     "ClusterGeometry",
     "CommPlan",
     "DsmPrimitive",
     "PrimitiveKind",
-    "TileGraph",
-    "TileNode",
-    "build_tile_graph",
     "dsm_all_exchange",
     "dsm_reduce_scatter",
     "dsm_shuffle",

@@ -15,9 +15,11 @@ Figure 1 —
 operators that keep executing as separate kernels.
 
 Matching is **deterministic and non-overlapping**: activations are visited in
-topological order (ties broken by insertion order, which networkx preserves),
-each activation anchors at most one candidate, and a candidate touching an
-operator already claimed by an earlier match is skipped.  A chain
+:meth:`~repro.ir.graph.OperatorGraph.topological_order`, a generation-by-
+generation Kahn sort (sources in insertion order, then each generation's
+consumers in edge-insertion order); each activation anchors at most one
+candidate, and a candidate touching an operator already claimed by an earlier
+match is skipped.  A chain
 ``G0 -> act -> G1 -> act -> G2`` therefore always yields the *first* region
 ``(G0, act, G1)`` and leaves the tail unfused.
 

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
-
-import networkx as nx
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.errors import FusionError
 from repro.ir.ops import ActivationKind, Operator
@@ -353,27 +352,45 @@ class OperatorGraph:
         """Sum of operator FLOP counts."""
         return sum(op.flops() for op in self._operators)
 
-    def to_networkx(self) -> nx.DiGraph:
-        """Export the graph as a ``networkx.DiGraph`` of operator names."""
-        graph = nx.DiGraph()
-        for op in self._operators:
-            graph.add_node(op.name, operator=op)
+    def topological_order(self) -> List[Operator]:
+        """Operators sorted topologically (:class:`FusionError` on cycles).
+
+        The sort is Kahn's, generation by generation.  Operators with no
+        producer in the graph come first, in insertion order.  Each later
+        generation holds the operators whose last producer sat in the one
+        before; they come in the order that generation's operators are
+        walked, each operator's consumers in insertion order.  An operator
+        reading a producer's tensor twice depends on it once.  Chain
+        extraction breaks ties in this order, so canonical chain hashes and
+        plan-cache keys depend on it.
+        """
+        consumers = self._consumer_lists()
+        pending = Counter(op.name for ops in consumers.values() for op in ops)
+        order = [op for op in self._operators if not pending[op.name]]
+        # The list grows while it is walked: a FIFO queue, so generations
+        # come out whole and in order.
+        for op in order:
+            for consumer in consumers[op.name]:
+                pending[consumer.name] -= 1
+                if not pending[consumer.name]:
+                    order.append(consumer)
+        if len(order) < len(self._operators):
+            raise FusionError(self._cycle_message(consumers))
+        return order
+
+    def _consumer_lists(self) -> Dict[str, List[Operator]]:
+        """Each operator's distinct consumers, in consumer insertion order."""
+        consumers: Dict[str, List[Operator]] = {op.name: [] for op in self._operators}
         for op in self._operators:
             for tensor in op.inputs:
                 producer = self._producers.get(tensor.name)
-                if producer is not None:
-                    graph.add_edge(producer.name, op.name, tensor=tensor.name)
-        return graph
-
-    def topological_order(self) -> List[Operator]:
-        """Operators sorted topologically (:class:`FusionError` on cycles)."""
-        nx_graph = self.to_networkx()
-        try:
-            order = list(nx.topological_sort(nx_graph))
-        except nx.NetworkXUnfeasible as exc:
-            raise FusionError(self._cycle_message(nx_graph)) from exc
-        by_name = {op.name: op for op in self._operators}
-        return [by_name[name] for name in order]
+                if producer is None:
+                    continue
+                successors = consumers[producer.name]
+                # op's edges are added together, so a repeat is the last one.
+                if not successors or successors[-1] is not op:
+                    successors.append(op)
+        return consumers
 
     # ------------------------------------------------------------------ #
     # Validation
@@ -421,15 +438,29 @@ class OperatorGraph:
                         f"{produced.shape}/{produced.dtype.value} vs consumed "
                         f"{tensor.shape}/{tensor.dtype.value}"
                     )
-        nx_graph = self.to_networkx()
-        if not nx.is_directed_acyclic_graph(nx_graph):
-            raise FusionError(self._cycle_message(nx_graph))
+        self.topological_order()
         return self
 
-    def _cycle_message(self, nx_graph: nx.DiGraph) -> str:
-        cycle = nx.find_cycle(nx_graph)
-        path = " -> ".join(edge[0] for edge in cycle) + f" -> {cycle[-1][1]}"
-        return f"graph {self.name!r} contains a cycle: {path}"
+    def _cycle_message(self, consumers: Dict[str, List[Operator]]) -> str:
+        """Name the first cycle a depth-first search in insertion order meets."""
+        finished: Set[str] = set()
+        for root in self._operators:
+            if root.name in finished:
+                continue
+            path = [root.name]
+            branches = [iter(consumers[root.name])]
+            while branches:
+                consumer = next(branches[-1], None)
+                if consumer is None:
+                    finished.add(path.pop())
+                    branches.pop()
+                elif consumer.name in path:
+                    cycle = path[path.index(consumer.name):] + [consumer.name]
+                    return f"graph {self.name!r} contains a cycle: {' -> '.join(cycle)}"
+                elif consumer.name not in finished:
+                    path.append(consumer.name)
+                    branches.append(iter(consumers[consumer.name]))
+        raise AssertionError("no cycle found")
 
     def compute_intensive_operators(self) -> List[Operator]:
         """GEMM/conv operators, the fusion anchors."""

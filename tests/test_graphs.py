@@ -5,8 +5,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.api import CompileRequest, FlashFuser, FusionError
 from repro.graphs import (
@@ -24,6 +30,7 @@ from repro.graphs.plan import (
     SOURCE_UNFUSABLE,
     assemble_plan,
 )
+from repro.graphs.rewrite import canonicalize
 from repro.ir.builders import (
     build_conv_chain,
     build_gated_ffn,
@@ -52,6 +59,16 @@ def _tiny_graph(name="graphs-tiny", **dims):
     return build_standard_ffn(name, **merged)
 
 
+def _gemm(name, lhs, rhs=None):
+    rhs = TensorSpec(rhs or f"w{name}", (4, 4))
+    return Gemm(name, lhs=TensorSpec(lhs, (4, 4)), rhs=rhs)
+
+
+def _two_cycle_graph(name):
+    # a consumes b's output and vice versa: a.out -> b -> b.out -> a.
+    return OperatorGraph(name, [_gemm("a", "b.out"), _gemm("b", "a.out")])
+
+
 @pytest.fixture(scope="module")
 def tiny_compiler(h100):
     with FlashFuser(device=h100, top_k=3, max_tile=128) as compiler:
@@ -67,20 +84,37 @@ class TestGraphValidation:
         assert graph.validate() is graph
 
     def test_cycle_raises_fusion_error(self):
-        # a consumes b's output and vice versa: a.out -> b -> b.out -> a.
-        graph = OperatorGraph("cyclic")
-        graph.add(
-            Gemm("a", lhs=TensorSpec("b.out", (4, 4)), rhs=TensorSpec("wa", (4, 4)))
-        )
-        graph.add(
-            Gemm("b", lhs=TensorSpec("a.out", (4, 4)), rhs=TensorSpec("wb", (4, 4)))
-        )
-        with pytest.raises(FusionError, match="cycle"):
-            graph.validate()
-        with pytest.raises(FusionError, match="cycle"):
-            graph.topological_order()
-        with pytest.raises(FusionError, match="cycle"):
-            extract_chains(graph)
+        cases = [
+            (_two_cycle_graph("g"), "a -> b -> a"),
+            (OperatorGraph("g", [_gemm("s", "s.out")]), "s -> s"),
+            # The acyclic prefix p feeds the cycle c1 <-> c2, inserted out of order.
+            (
+                OperatorGraph(
+                    "g",
+                    [_gemm("p", "x"), _gemm("c2", "c1.out"), _gemm("c1", "p.out", "c2.out")],
+                ),
+                "c1 -> c2 -> c1",
+            ),
+        ]
+        for graph, path in cases:
+            for entry in (
+                OperatorGraph.validate, OperatorGraph.topological_order, extract_chains
+            ):
+                with pytest.raises(FusionError) as info:
+                    entry(graph)
+                assert str(info.value) == f"graph 'g' contains a cycle: {path}"
+
+    def test_topological_order_breaks_ties_by_generation(self):
+        # Sources come in insertion order, then each generation's children
+        # in edge order; sq reads src1.out twice, which is one edge.
+        late = Activation("late", ActivationKind.RELU, TensorSpec("src2.out", (4, 4)))
+        src1, src2 = _gemm("src1", "x"), _gemm("src2", "y")
+        sq = Elementwise("sq", ElementwiseKind.MUL, src1.output, src1.output)
+        join = Elementwise("join", ElementwiseKind.ADD, sq.output, late.output)
+        graph = OperatorGraph("ties", [late, src1, src2, sq, join])
+        assert [op.name for op in graph.topological_order()] == [
+            "src1", "src2", "sq", "late", "join",
+        ]
 
     def test_undeclared_input_raises_when_inputs_declared(self):
         x = TensorSpec("x", (8, 8))
@@ -116,6 +150,118 @@ class TestGraphValidation:
             Activation("act", ActivationKind.RELU, gemm.output.with_shape((16, 16)))
         )
         graph.validate()
+
+
+# --------------------------------------------------------------------- #
+# Topological order and chain hashes, pinned
+# --------------------------------------------------------------------- #
+def _order_digest(graph):
+    """sha256 over the topological operator names and extracted chain hashes."""
+    payload = {
+        "order": [op.name for op in graph.topological_order()],
+        "chains": [match.chain.canonical_hash() for match in extract_chains(graph).matches],
+    }
+    return hashlib.sha256(json.dumps(payload).encode("utf-8")).hexdigest()
+
+
+def _scrambled(graph):
+    """``graph`` with its operators inserted in a fixed non-topological order."""
+    operators = sorted(
+        graph.operators, key=lambda op: hashlib.sha256(op.name.encode()).hexdigest()
+    )
+    return OperatorGraph(graph.name, operators, inputs=graph.declared_inputs)
+
+
+def _pinned_graphs():
+    graphs = {}
+    for name, factory in GRAPH_ZOO.items():
+        for m in (16, 128, 1024):
+            graphs[f"zoo:{name}:m{m}"] = graph = factory(m)
+            graphs[f"zoo:{name}:m{m}:canonical"] = canonicalize(graph).graph
+    for name, model in MODEL_ZOO.items():
+        graphs[f"model:{name}:layer"] = model.layer_graph(seq_len=64)
+        graphs[f"model:{name}:ffn"] = model.ffn_graph(seq_len=64)
+    graphs["scrambled:LLaMA-1B:layer"] = _scrambled(graphs["model:LLaMA-1B:layer"])
+    graphs["scrambled:zoo:moe_layer:m128:canonical"] = _scrambled(
+        graphs["zoo:moe_layer:m128:canonical"]
+    )
+    return graphs
+
+
+#: Chain extraction breaks ties in topological order, so canonical chain
+#: hashes and plan-cache keys change whenever that order does.
+GOLDEN_ORDER_DIGESTS = {
+    "zoo:residual_block:m16": "4a6a945cb5219f8a71f796e1ad1273232608c0f5a57e435461404892107d1927",
+    "zoo:residual_block:m16:canonical": "c0c23c255556c6041fd249f1f0383b1443f8dcbecae7ad976f7c9d3af63641a7",
+    "zoo:residual_block:m128": "4a6a945cb5219f8a71f796e1ad1273232608c0f5a57e435461404892107d1927",
+    "zoo:residual_block:m128:canonical": "ec7b988f87a3f2e119a163b6674d107a85a2dc06dd57afcada20e414d4062bb5",
+    "zoo:residual_block:m1024": "4a6a945cb5219f8a71f796e1ad1273232608c0f5a57e435461404892107d1927",
+    "zoo:residual_block:m1024:canonical": "4072a1edb358e4921313ffb7a829e29b6b08319ee011baaf15ce204b2c28b435",
+    "zoo:attention_ffn:m16": "a5b6a1dda6d0ae64e5a4ca6749a8dc669575af5d0f021df6082e07a3952e54cc",
+    "zoo:attention_ffn:m16:canonical": "2181d48ec1d1d5069a4fe17fc3ff901168fdf7ca6682867368031606fbde486e",
+    "zoo:attention_ffn:m128": "a5b6a1dda6d0ae64e5a4ca6749a8dc669575af5d0f021df6082e07a3952e54cc",
+    "zoo:attention_ffn:m128:canonical": "2c642a78bf400e647b6493f13f856d6d1bb2b059c20dab51e25ae164cc87d484",
+    "zoo:attention_ffn:m1024": "a5b6a1dda6d0ae64e5a4ca6749a8dc669575af5d0f021df6082e07a3952e54cc",
+    "zoo:attention_ffn:m1024:canonical": "e7b4ef4f6c929cb1965b305267973f7b1cd46b2a36f0ab92698006abf270f169",
+    "zoo:moe_layer:m16": "b59496a5816999b3c4d65d3887e6449aac98948287a37b1628d5231f0898b352",
+    "zoo:moe_layer:m16:canonical": "ba235022208d18d7f249c7806ce6d37dc7e7401fff7d1fa1f54d0dccfc3fa5af",
+    "zoo:moe_layer:m128": "b59496a5816999b3c4d65d3887e6449aac98948287a37b1628d5231f0898b352",
+    "zoo:moe_layer:m128:canonical": "3ef831b07431b64946d2dbc4cc472a2e2ad2f6ded40dd750d4e498cd99e64e89",
+    "zoo:moe_layer:m1024": "b59496a5816999b3c4d65d3887e6449aac98948287a37b1628d5231f0898b352",
+    "zoo:moe_layer:m1024:canonical": "fabb582001b2a58afc4bf7f18954083450988d5f5a793689c15b793e01657d46",
+    "model:GPT-6.7B:layer": "d17c8b74c8115a3641a0116f31ca6c7f84f7103f6a7d5d6dcc7e0d5dd14ff48f",
+    "model:GPT-6.7B:ffn": "97813201860e0afc94773f3ae0e5a1b3dd01bd106b3adddc2d1cd575f9618401",
+    "model:LLaMA-1B:layer": "e04f6d8b8e0ac43b4381883411706c33c1d6f61af07c63c772494c60eceac8a7",
+    "model:LLaMA-1B:ffn": "7ddf70428fb2db8ae1c93bdcf96f8d4e99a2c358513ca955345bff6f5a44707e",
+    "model:OPT-1.3B:layer": "3df31bb4eec8e1ba9a08e97b999de0ea1b090a181d910506adc659de5af9b6a2",
+    "model:OPT-1.3B:ffn": "957236b053e73bdeda60d6955b0d76d206a990b612f4cd597ae5dc09069d1cd3",
+    "model:BERT:layer": "a9ca0e3df6004a51bf8011fdf872b8d722bc035720c788db7805728c04e62044",
+    "model:BERT:ffn": "8c0b91fd77fe5585cf9d028806d1f12bb2b99e1b72c3e0d6dfc4bb81e0d70c10",
+    "model:GPT-2:layer": "f55c4f95e7f07ebcc877d06552ce0fbd953a13eb5e44189665ef1814b9ca752a",
+    "model:GPT-2:ffn": "4a5fd0db8784547522b6edeadfe609684333026d969e2acc19b651b3dcbc33f7",
+    "model:GPT-2-Small:layer": "2bb6fcb7a34ae78cb4b5652e64864c6fbee53ce4b4d16d08aeb438fec3145dfa",
+    "model:GPT-2-Small:ffn": "6382b42acf6850459b3b303d539f0135118f69ba18dba2ea55f4033b98a528b0",
+    "model:llama-3.2-3B:layer": "722328d6aba12ac12f24ff15c5440c58225394de17839ae7e2126cd4c1081650",
+    "model:llama-3.2-3B:ffn": "defe7625807771a111b0e5022557b9281ee4a9aa97d48207428e1f81bba78b90",
+    "model:Llama-2-7b:layer": "d4dd98e8fc315d8c43e3d53814d89f85b5fedf1e3ec65544aa10ec178dac09f0",
+    "model:Llama-2-7b:ffn": "ac1b06e190a0656b1fde8c1c79f3826f0f4b79dc0e20feeefe4a669a65d1ab72",
+    "model:Qwen2.5-1.5B:layer": "421be089030a37db5d9632d49b44e30cd5379f4b1939cca32103588b771beacc",
+    "model:Qwen2.5-1.5B:ffn": "25ea5ccfe406960794096d830839170470949126a2c2cd272cf6b5fb4007afe8",
+    "model:Qwen2.5-3B:layer": "5963d4bd033555e15777acfab5bcb1ce023227f247f418588723de82641c7ad7",
+    "model:Qwen2.5-3B:ffn": "2be22261f009441b64603336611d8dd4f1012b1e01bec3f928be972ab2dbdb2b",
+    "model:Qwen3-4B:layer": "cf331bc2ad87858511a6256f057fa9ebd86bbb9bf144f0207e01444e8b9d1fe4",
+    "model:Qwen3-4B:ffn": "c841b4c8665ccec6991175a3a87c5f3455d47b834ef997559ece6a9501f0258f",
+    "model:Qwen3-0.6B:layer": "e1a83d7e4973d8c0f9ba3449d2f40887554540f7be17a112e5d61f4a0e6b4bd2",
+    "model:Qwen3-0.6B:ffn": "0f312409485814fdf0f1e559f3b788729774bd5480872ac7acbebf02724037e6",
+    "model:Llama3-70B:layer": "edbc54580c70436aa7647f1225fcb878b54a3b68bc1b07c752fbc22e2dd99ca3",
+    "model:Llama3-70B:ffn": "a5c8b93c3085bd4abcbe8c7ad0b55b3f662714f31c2a52c56e7c76fe68e90116",
+    "model:Qwen2.5-14B:layer": "1d1a64ff7a73f9fd0810f73bfd9b98acaa2f331113a0070aadd94fe83b291bbd",
+    "model:Qwen2.5-14B:ffn": "f6fbeaa80b262f41c3a55e7c3fdf20e201189d417ecc973047224bfd64d65d08",
+    "model:Qwen2.5-32B:layer": "359abb93a309983a6743d6a281d34a72fd85393e4f53368190cf0d3be7aea1e3",
+    "model:Qwen2.5-32B:ffn": "5a30a6ed6467c2c976d3095d08978cc56a54953b4f58b72a12908da03b292feb",
+    "scrambled:LLaMA-1B:layer": "36a134b5451fed8745e40ae917aabd0c103262c5d18097f5612305657e0a8989",
+    "scrambled:zoo:moe_layer:m128:canonical": (
+        "25bb463a628846b991640fb763d25f445ad7b1ef335286abdbbe42cd52050d63"
+    ),
+}
+
+
+def test_topological_orders_and_chain_hashes_are_pinned():
+    digests = {case: _order_digest(graph) for case, graph in _pinned_graphs().items()}
+    assert digests == GOLDEN_ORDER_DIGESTS
+
+
+def test_import_does_not_load_networkx():
+    src = str(Path(repro.__file__).resolve().parents[1])
+    probe = "import sys, repro; print('networkx' in sys.modules)"
+    output = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert output.strip() == "False"
 
 
 # --------------------------------------------------------------------- #
@@ -411,13 +557,7 @@ class TestCompileGraph:
             compile_graph(graph, compiler=tiny_compiler, top_k=5)
 
     def test_malformed_graph_fails_before_compiling(self, tiny_compiler):
-        graph = OperatorGraph("bad")
-        graph.add(
-            Gemm("a", lhs=TensorSpec("b.out", (4, 4)), rhs=TensorSpec("wa", (4, 4)))
-        )
-        graph.add(
-            Gemm("b", lhs=TensorSpec("a.out", (4, 4)), rhs=TensorSpec("wb", (4, 4)))
-        )
+        graph = _two_cycle_graph("bad")
         with pytest.raises(FusionError, match="cycle"):
             compile_graph(graph, compiler=tiny_compiler)
 
@@ -513,13 +653,7 @@ class TestModelServer:
             model_server.serve("static", m=32)
 
     def test_register_validates_graphs(self, model_server):
-        graph = OperatorGraph("badmodel")
-        graph.add(
-            Gemm("a", lhs=TensorSpec("b.out", (4, 4)), rhs=TensorSpec("wa", (4, 4)))
-        )
-        graph.add(
-            Gemm("b", lhs=TensorSpec("a.out", (4, 4)), rhs=TensorSpec("wb", (4, 4)))
-        )
+        graph = _two_cycle_graph("badmodel")
         with pytest.raises(FusionError, match="cycle"):
             model_server.register("badmodel", graph)
 
