@@ -2,11 +2,13 @@
 
 :class:`ModelServer` is the thin model layer above
 :class:`~repro.runtime.server.KernelServer`: models register an operator
-graph (or a graph *factory* parameterised by the batched token count M), and
-every serve request resolves the model's extracted chains through the
-existing table -> cache -> compile path, charges the residual operators on
-the simulator, and answers with the assembled
+graph, a graph *factory* parameterised by the batched token count M, or a
+transformer config, and every serve request resolves the model's extracted
+chains through the existing table -> cache -> compile path, charges the
+residual operators on the simulator, and answers with the assembled
 :class:`~repro.graphs.plan.ModelPlan` plus per-segment resolution sources.
+A config's layer graph is built, rewritten and extracted only on its first
+serve; every other M is bound into that extraction (:class:`_RowTemplate`).
 
 Model-level metrics land in a dedicated
 :class:`~repro.runtime.stats.ServingStats`: each serve is recorded under the
@@ -22,10 +24,10 @@ import contextvars
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
-from repro.analysis.locks import make_lock
+from repro.analysis.locks import make_lock, require_held
 from repro.errors import FusionError
 
 from repro.api import CompiledKernel, CompileRequest
@@ -38,6 +40,7 @@ from repro.graphs.plan import (
     assemble_plan,
 )
 from repro.ir.graph import OperatorGraph
+from repro.ir.tensor import TensorSpec
 from repro.ir.workloads import ModelConfig, get_model
 from repro.obs.trace import tracer
 from repro.runtime.server import (
@@ -69,9 +72,125 @@ _SOURCE_COST = {
 #: Distinct (model, m) extraction results kept in the serve-path memo.
 _EXTRACTION_MEMO_CAPACITY = 64
 
-#: One memoised (model, m): the graph, its extraction, and the extraction's
-#: unfused pricing on the server's residual simulator.
-_Memoized = Tuple[OperatorGraph, ExtractionResult, _UnfusedPricing]
+#: One memoised (model, m): the extraction and its unfused pricing on the
+#: server's residual simulator.
+_Memoized = Tuple[ExtractionResult, _UnfusedPricing]
+
+
+#: The fields of one chain or operator that read M: an integer field (no
+#: positions) or a tensor field with the shape positions that read M.
+_Rows = Tuple[Tuple[str, Optional[Tuple[int, ...]]], ...]
+
+_T = TypeVar("_T")
+
+
+@dataclass(frozen=True)
+class _RowTemplate:
+    """A model's extraction with the dimensions that equal M marked.
+
+    A transformer layer's topology, operator names and rewrite firings do
+    not depend on the batched token count M; only its row dimension does.
+    The template keeps one extraction plus the fields of each match's chain
+    and each residual operator that read M, so :meth:`bind` serves a new M
+    without building, rewriting or matching a graph.
+    """
+
+    extraction: ExtractionResult
+    chain_rows: Tuple[_Rows, ...]
+    residual_rows: Tuple[_Rows, ...]
+
+    @classmethod
+    def derive(
+        cls, first: ExtractionResult, m: int, probe: ExtractionResult, probe_m: int
+    ) -> "_RowTemplate":
+        """The template of two extractions of one graph builder at distinct
+        sizes ``m`` and ``probe_m``.
+
+        A dimension binds to M when it reads ``m`` in ``first`` and
+        ``probe_m`` in ``probe``.  Binding both sizes must then reproduce
+        both extractions exactly; any other difference (a dimension that
+        changes some other way, a renamed operator, a moved anchor, other
+        rewrite firings) means the builder is not row-polymorphic, and
+        raises.
+        """
+        rows = (m, probe_m)
+        template = cls(
+            first,
+            tuple(
+                _row_fields(a.chain, b.chain, rows)
+                for a, b in zip(first.matches, probe.matches)
+            ),
+            tuple(
+                _row_fields(a, b, rows)
+                for a, b in zip(first.residual, probe.residual)
+            ),
+        )
+        if template.bind(m) != first or template.bind(probe_m) != probe:
+            raise FusionError(
+                f"graph {first.graph_name!r} is not row-polymorphic: its "
+                f"extraction at M={probe_m} is not its extraction at M={m} "
+                "with M substituted"
+            )
+        return template
+
+    def bind(self, m: int) -> ExtractionResult:
+        """The extraction at batched token count ``m``."""
+        base = self.extraction
+        return ExtractionResult(
+            graph_name=base.graph_name,
+            matches=[
+                ChainMatch(
+                    chain=_bind_rows(match.chain, rows, m),
+                    operator_names=match.operator_names,
+                    anchor=match.anchor,
+                )
+                for match, rows in zip(base.matches, self.chain_rows)
+            ],
+            residual=[
+                _bind_rows(op, rows, m)
+                for op, rows in zip(base.residual, self.residual_rows)
+            ],
+            topological_names=base.topological_names,
+            rewrite=base.rewrite,
+        )
+
+
+def _row_fields(a: object, b: object, rows: Tuple[int, int]) -> _Rows:
+    """The fields of dataclass ``a`` that read ``rows`` across ``a`` and
+    ``b`` (nothing when the two are of different types)."""
+    if type(a) is not type(b):
+        return ()
+    found: List[Tuple[str, Optional[Tuple[int, ...]]]] = []
+    for field in fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, TensorSpec):
+            positions = tuple(
+                index
+                for index, sizes in enumerate(zip(x.shape, y.shape))
+                if sizes == rows
+            )
+            if positions:
+                found.append((field.name, positions))
+        elif (x, y) == rows:
+            found.append((field.name, None))
+    return tuple(found)
+
+
+def _bind_rows(value: _T, rows: _Rows, m: int) -> _T:
+    """``value`` with ``m`` substituted into the fields ``rows`` names."""
+    if not rows:
+        return value
+    updates = {}
+    for name, positions in rows:
+        if positions is None:
+            updates[name] = m
+        else:
+            tensor = getattr(value, name)
+            shape = list(tensor.shape)
+            for index in positions:
+                shape[index] = m
+            updates[name] = tensor.with_shape(tuple(shape))
+    return replace(value, **updates)
 
 
 @dataclass
@@ -133,7 +252,7 @@ class ModelServer:
         from repro import ModelServer
 
         with ModelServer(cache="~/.cache/ff") as server:
-            server.register("bert", "BERT")        # zoo name -> layer factory
+            server.register("bert", "BERT")        # zoo name -> bound per M
             response = server.serve("bert", m=128) # cold: fusion search
             again = server.serve("bert", m=96)     # warm: kernel-table hit
         print(response.source, again.source)       # 'compiled' 'table'
@@ -157,7 +276,11 @@ class ModelServer:
         self.stats = stats or ServingStats()
         self._factories: Dict[str, Optional[GraphFactory]] = {}
         self._static_graphs: Dict[str, OperatorGraph] = {}
-        # LRU-bounded (model, m) -> (graph, extraction, pricing) memo:
+        # Models registered as a ModelConfig are served by binding M into a
+        # per-model template, built on the model's first serve (None until
+        # then); factories the server cannot see inside are rebuilt per M.
+        self._templates: Dict[str, Optional[_RowTemplate]] = {}
+        # LRU-bounded (model, m) -> (extraction, pricing) memo:
         # dynamic-M traffic must not grow server state without bound (the
         # backing kernel tables are bounded by binning for the same reason).
         # The pricing is everything in a plan that does not depend on how
@@ -180,17 +303,22 @@ class ModelServer:
         ``model`` may be a fixed :class:`OperatorGraph` (servable only at
         its built shape), a callable ``m -> OperatorGraph`` building the
         graph for any batched token count, a :class:`ModelConfig`, or a
-        model-zoo name — the latter two register the config's transformer
-        layer graph as a factory.  Fixed graphs are validated here, so a
-        malformed graph fails at registration; factory-built graphs are
-        validated when first materialised for a serve.
+        model-zoo name.  A callable is called, and its graph rewritten and
+        extracted, for every M the extraction memo misses.  A config (or
+        zoo name) is served by binding M: its transformer layer graph is
+        extracted at the first served M and one more, which fixes which
+        dimensions are M, and every later M substitutes into that template.
+        Fixed graphs are validated here, so a malformed graph fails at
+        registration; built graphs are validated when first extracted.
         """
         if isinstance(model, str):
             model = get_model(model)
         with self._lock:
+            self._templates.pop(name, None)
             if isinstance(model, ModelConfig):
                 config = model
                 self._factories[name] = lambda m: config.layer_graph(seq_len=m)
+                self._templates[name] = None
             elif isinstance(model, OperatorGraph):
                 model.validate()
                 self._factories[name] = None
@@ -226,7 +354,7 @@ class ModelServer:
         """
         start = time.perf_counter()
         with tracer().span("model.serve", model=name, m=m) as span:
-            graph, extraction, pricing, effective_m = self._materialize(name, m)
+            extraction, pricing, effective_m = self._materialize(name, m)
             settled = self._resolve_all(extraction.matches)
             sources: Dict[str, str] = {
                 chain_name: outcome[1]
@@ -263,7 +391,11 @@ class ModelServer:
                 return kernel, source, cache_hit, charged_us
 
             plan = assemble_plan(
-                graph.name, extraction, resolve, self.simulator, pricing=pricing
+                extraction.graph_name,
+                extraction,
+                resolve,
+                self.simulator,
+                pricing=pricing,
             )
             source = max(
                 (value for value in sources.values()),
@@ -383,62 +515,66 @@ class ModelServer:
 
     def _materialize(
         self, name: str, m: Optional[int]
-    ) -> Tuple[OperatorGraph, ExtractionResult, _UnfusedPricing, int]:
-        with self._lock:
-            if name not in self._factories:
-                raise KeyError(f"unknown model {name!r}; register() it first")
-            factory = self._factories[name]
-            static_graph = self._static_graphs.get(name)
-        if factory is None:
-            if m is not None:
-                raise ValueError(
-                    f"model {name!r} was registered as a fixed graph; register "
-                    "a graph factory (m -> OperatorGraph) to serve variable M"
-                )
-            graph, extraction, pricing = self._memoized_extraction(
-                (name, 0),
-                lambda: (
-                    static_graph,
-                    extract_chains(static_graph, validate=False, rewrite=True),
-                ),
-            )
-            effective_m = (
-                extraction.matches[0].chain.m if extraction.matches else 0
-            )
-            return graph, extraction, pricing, effective_m
-        if m is None or m <= 0:
-            raise ValueError("serve(name, m) requires a positive token count m")
-        graph, extraction, pricing = self._memoized_extraction(
-            (name, m), lambda: self._build_and_extract(factory, m)
-        )
-        return graph, extraction, pricing, m
-
-    def _build_and_extract(
-        self, factory: GraphFactory, m: int
-    ) -> Tuple[OperatorGraph, ExtractionResult]:
-        graph = factory(m)
-        return graph, extract_chains(graph, rewrite=True)
-
-    def _memoized_extraction(
-        self,
-        key: Tuple[str, int],
-        build: Callable[[], Tuple[OperatorGraph, ExtractionResult]],
-    ) -> _Memoized:
+    ) -> Tuple[ExtractionResult, _UnfusedPricing, int]:
         # Extraction is pattern matching over a small DAG and pricing is a
         # few simulator calls (microseconds against a cold serve's search),
         # so building under the lock is cheaper than racing duplicate builds.
         with self._lock:
-            cached = self._extractions.get(key)
-            if cached is None:
-                graph, extraction = build()
-                cached = (
-                    graph,
-                    extraction,
-                    _price_unfused(extraction, self.simulator),
+            if name not in self._factories:
+                raise KeyError(f"unknown model {name!r}; register() it first")
+            factory = self._factories[name]
+            if factory is None:
+                if m is not None:
+                    raise ValueError(
+                        f"model {name!r} was registered as a fixed graph; "
+                        "register a graph factory (m -> OperatorGraph) to "
+                        "serve variable M"
+                    )
+                graph = self._static_graphs[name]
+                extraction, pricing = self._memoized(
+                    (name, 0),
+                    lambda: extract_chains(graph, validate=False, rewrite=True),
                 )
-                self._extractions[key] = cached
-                while len(self._extractions) > _EXTRACTION_MEMO_CAPACITY:
-                    self._extractions.popitem(last=False)
-            else:
-                self._extractions.move_to_end(key)
-            return cached
+                effective_m = (
+                    extraction.matches[0].chain.m if extraction.matches else 0
+                )
+                return extraction, pricing, effective_m
+            if m is None or m <= 0:
+                raise ValueError("serve(name, m) requires a positive token count m")
+            extraction, pricing = self._memoized(
+                (name, m), lambda: self._extract(name, factory, m)
+            )
+            return extraction, pricing, m
+
+    def _extract(self, name: str, factory: GraphFactory, m: int) -> ExtractionResult:
+        """``name``'s extraction at ``m``: a factory's graph is built and
+        extracted; a config's is bound from its template, which extractions
+        at ``m`` and ``m + 1`` build on the model's first serve.  Callers
+        hold the server lock, which guards the template map."""
+        require_held(self._lock)
+        if name not in self._templates:
+            return extract_chains(factory(m), rewrite=True)
+        template = self._templates[name]
+        if template is not None:
+            return template.bind(m)
+        first = extract_chains(factory(m), rewrite=True)
+        probe = extract_chains(factory(m + 1), rewrite=True)
+        self._templates[name] = _RowTemplate.derive(first, m, probe, m + 1)
+        return first
+
+    def _memoized(
+        self, key: Tuple[str, int], build: Callable[[], ExtractionResult]
+    ) -> _Memoized:
+        # Callers hold the server lock; checked when the lock-order detector
+        # is active (see repro.analysis.locks).
+        require_held(self._lock)
+        cached = self._extractions.get(key)
+        if cached is None:
+            extraction = build()
+            cached = (extraction, _price_unfused(extraction, self.simulator))
+            self._extractions[key] = cached
+            while len(self._extractions) > _EXTRACTION_MEMO_CAPACITY:
+                self._extractions.popitem(last=False)
+        else:
+            self._extractions.move_to_end(key)
+        return cached

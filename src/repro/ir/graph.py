@@ -267,7 +267,11 @@ class OperatorGraph:
     ):
         self.name = name
         self._operators: List[Operator] = []
+        self._names: Set[str] = set()
         self._producers: Dict[str, Operator] = {}
+        # Tensor name -> its consumers, in insertion order, one entry per
+        # operator (an operator reading a tensor twice consumes it once).
+        self._consumers: Dict[str, List[Operator]] = {}
         self._declared_inputs: Optional[Dict[str, TensorSpec]] = (
             {tensor.name: tensor for tensor in inputs} if inputs is not None else None
         )
@@ -279,13 +283,16 @@ class OperatorGraph:
     # ------------------------------------------------------------------ #
     def add(self, op: Operator) -> Operator:
         """Add an operator to the graph and return it."""
-        if any(existing.name == op.name for existing in self._operators):
+        if op.name in self._names:
             raise ValueError(f"duplicate operator name {op.name!r}")
         out_name = op.output.name
         if out_name in self._producers:
             raise ValueError(f"tensor {out_name!r} already has a producer")
         self._operators.append(op)
+        self._names.add(op.name)
         self._producers[out_name] = op
+        for tensor_name in dict.fromkeys(tensor.name for tensor in op.inputs):
+            self._consumers.setdefault(tensor_name, []).append(op)
         return op
 
     # ------------------------------------------------------------------ #
@@ -316,12 +323,8 @@ class OperatorGraph:
         return self._producers.get(tensor_name)
 
     def consumers_of(self, tensor_name: str) -> List[Operator]:
-        """Operators consuming ``tensor_name``."""
-        return [
-            op
-            for op in self._operators
-            if any(t.name == tensor_name for t in op.inputs)
-        ]
+        """Operators consuming ``tensor_name``, in insertion order."""
+        return list(self._consumers.get(tensor_name, ()))
 
     def input_tensors(self) -> List[TensorSpec]:
         """Tensors read by the graph but produced by no operator."""
@@ -380,17 +383,10 @@ class OperatorGraph:
 
     def _consumer_lists(self) -> Dict[str, List[Operator]]:
         """Each operator's distinct consumers, in consumer insertion order."""
-        consumers: Dict[str, List[Operator]] = {op.name: [] for op in self._operators}
-        for op in self._operators:
-            for tensor in op.inputs:
-                producer = self._producers.get(tensor.name)
-                if producer is None:
-                    continue
-                successors = consumers[producer.name]
-                # op's edges are added together, so a repeat is the last one.
-                if not successors or successors[-1] is not op:
-                    successors.append(op)
-        return consumers
+        return {
+            op.name: self._consumers.get(op.output.name, [])
+            for op in self._operators
+        }
 
     # ------------------------------------------------------------------ #
     # Validation

@@ -43,6 +43,7 @@ from repro.ir.tensor import TensorSpec
 from repro.ir.workloads import (
     GRAPH_ZOO,
     MODEL_ZOO,
+    ModelConfig,
     get_chain_spec,
     get_model,
     get_workload,
@@ -691,6 +692,14 @@ class TestModelServer:
 MEMO_SIZES = (1, 8, 64, 100, 256, 300)
 
 
+def _zoo_sizes(config):
+    """Every M in 1..300 (a model's first serve, at 1, builds its template),
+    then the model's own widths, which a bound M must not be confused with,
+    and one M above the largest bin."""
+    own = (config.hidden, config.intermediate, config.num_heads)
+    return tuple(range(1, 301)) + own + (1000,)
+
+
 def _segment_fields(plan):
     return [
         (
@@ -720,7 +729,16 @@ def _assert_matches_fresh_assembly(server, graph, served):
     fresh = assemble_plan(
         graph.name, extract_chains(graph, rewrite=True), resolve, server.simulator
     )
+    assert served.plan.graph_name == fresh.graph_name
+    assert [repr(s) for s in served.plan.segments] == [repr(s) for s in fresh.segments]
     assert _segment_fields(served.plan) == _segment_fields(fresh)
+    assert served.plan.extraction.matches == fresh.extraction.matches
+    assert served.plan.extraction.residual == fresh.extraction.residual
+    assert (
+        served.plan.extraction.topological_names
+        == fresh.extraction.topological_names
+    )
+    assert served.plan.extraction.rewrite == fresh.extraction.rewrite
     assert served.plan.time_us == fresh.time_us
     assert served.plan.unfused_time_us == fresh.unfused_time_us
 
@@ -767,13 +785,16 @@ class TestMemoizedPlans:
 
     @pytest.mark.parametrize("model", sorted(MODEL_ZOO))
     def test_zoo_memo_hit_equals_fresh_assembly(self, memo_server, model):
+        # Every first serve but the one at M=1 binds M into the template;
+        # each is checked against a fresh build, extraction and assembly.
         memo_server.register(model, model)
-        for m in MEMO_SIZES:
+        for m in _zoo_sizes(get_model(model)):
             first = memo_server.serve(model, m=m)
             again = memo_server.serve(model, m=m)
             graph = get_model(model).layer_graph(seq_len=m)
             _assert_matches_fresh_assembly(memo_server, graph, first)
-            _assert_matches_fresh_assembly(memo_server, graph, again)
+            if m in MEMO_SIZES:
+                _assert_matches_fresh_assembly(memo_server, graph, again)
             assert again.source == "table"
         over = memo_server.serve(model, m=300).plan.fused_segments[0]
         assert over.time_us == over.kernel.time_us * 2
@@ -808,6 +829,50 @@ class TestMemoizedPlans:
         new = memo_server.serve("memo-re", m=64)
         _assert_matches_fresh_assembly(memo_server, layer(512)(64), new)
         assert new.plan.unfused_time_us != old.plan.unfused_time_us
+
+        # A config is served from a template, which re-registering drops
+        # with the memo: both the memoised M and a bound one are the new
+        # config's.
+        small = ModelConfig("memo-cfg", 1, 128, 256, 2)
+        large = dataclasses.replace(small, intermediate=512)
+        memo_server.register("memo-cfg", small)
+        old = [memo_server.serve("memo-cfg", m=m) for m in (64, 100)]
+        memo_server.register("memo-cfg", large)
+        for m, before in zip((64, 100), old):
+            new = memo_server.serve("memo-cfg", m=m)
+            _assert_matches_fresh_assembly(
+                memo_server, large.layer_graph(seq_len=m), new
+            )
+            assert new.plan.unfused_time_us != before.plan.unfused_time_us
+
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            # A width that grows at twice M's rate.
+            lambda m: build_transformer_layer(
+                "poly", m=m, hidden=2 * m, intermediate=64
+            ),
+            # A width that changes with M's parity.
+            lambda m: build_transformer_layer(
+                "poly", m=m, hidden=64 * (1 + m % 2), intermediate=64
+            ),
+            # Operator names that change with M.
+            lambda m: build_transformer_layer(
+                f"poly{m}", m=m, hidden=64, intermediate=64
+            ),
+            # A different partition at the probe.
+            lambda m: build_transformer_layer("poly", m=m, hidden=64, intermediate=64)
+            if m == 64
+            else build_standard_ffn("poly", m=m, n=64, k=64, l=64)[0],
+        ],
+    )
+    def test_template_rejects_a_builder_that_is_not_row_polymorphic(self, builder):
+        from repro.graphs.server import _RowTemplate
+
+        first = extract_chains(builder(64), rewrite=True)
+        probe = extract_chains(builder(65), rewrite=True)
+        with pytest.raises(FusionError, match="not row-polymorphic"):
+            _RowTemplate.derive(first, 64, probe, 65)
 
     def test_memo_hit_shares_frozen_residual_segments(self, memo_server):
         memo_server.register("memo-frozen", "BERT")
@@ -863,6 +928,51 @@ class TestWarmServeCounters:
         assert simulate.calls == extraction.num_chains + len(extraction.residual)
         # Same chain shapes as the m=64 serve: their table keys are known.
         assert chain_key.calls == 0
+
+    @pytest.mark.parametrize("model", ["BERT", "LLaMA-1B"])
+    def test_zoo_memo_miss_builds_and_extracts_nothing(
+        self, server, monkeypatch, model
+    ):
+        import repro.graphs.extract
+        import repro.graphs.server
+
+        server.serve(model, m=64)
+        canonicalize_spy = _Spy(monkeypatch, repro.graphs.extract, "canonicalize")
+        extract = _Spy(monkeypatch, repro.graphs.server, "extract_chains")
+        layer_graph = _Spy(monkeypatch, ModelConfig, "layer_graph")
+        for m in (63, 65, 256, 300):
+            response = server.serve(model, m=m)
+            assert response.plan.extraction.matches[0].chain.m == m
+        assert canonicalize_spy.calls == 0
+        assert extract.calls == 0
+        assert layer_graph.calls == 0
+
+    def test_first_zoo_serve_builds_the_template_from_two_extractions(
+        self, server, monkeypatch
+    ):
+        import repro.graphs.server
+
+        extract = _Spy(monkeypatch, repro.graphs.server, "extract_chains")
+        layer_graph = _Spy(monkeypatch, ModelConfig, "layer_graph")
+        server.register("opt", "OPT-1.3B")
+        server.serve("opt", m=64)
+        server.serve("opt", m=256)
+        assert (extract.calls, layer_graph.calls) == (2, 2)
+        server.register("opt", "OPT-1.3B")
+        server.serve("opt", m=256)
+        assert (extract.calls, layer_graph.calls) == (4, 4)
+
+    def test_factory_memo_miss_still_extracts_per_m(self, server, monkeypatch):
+        import repro.graphs.server
+
+        factory = GRAPH_ZOO["residual_block"]
+        server.register("block", factory)
+        extract = _Spy(monkeypatch, repro.graphs.server, "extract_chains")
+        sizes = (1, 63, 64, 65, 127, 128, 256)
+        for m in sizes:
+            response = server.serve("block", m=m)
+            _assert_matches_fresh_assembly(server, factory(m), response)
+        assert extract.calls == len(sizes)
 
     def test_new_shape_hashes_once(self, server, monkeypatch):
         chain_key = _Spy(monkeypatch, KernelServer, "_chain_key", staticmethod)
